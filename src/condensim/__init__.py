@@ -21,13 +21,7 @@ from .diffusion import (
     AbsorptionTrace,
     DiffusionConfig,
     DiffusionEnsemble,
-    DiffusionState,
-    drift,
-    em_step,
-    make_state,
-    noise_basis,
     simulate_diffusion_ensemble,
-    simulate_diffusion_path,
 )
 from .experiments import (
     SuperharmonicReport,
@@ -42,14 +36,11 @@ from .experiments import (
     trace_rate_mc,
     winner_distribution,
 )
-from .paths import PathSample
 from .zrp import (
-    CondensationRecord,
     ZrpConfig,
     ZrpEnsemble,
     jump_rate_g,
     simulate_zrp_ensemble,
-    simulate_zrp_path,
     zrp_generator_apply,
 )
 

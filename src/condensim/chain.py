@@ -191,8 +191,7 @@ def dirichlet_matrix(chain: ChainSpec) -> np.ndarray:
     Row and column sums vanish, and a_s is positive semidefinite with a
     one-dimensional kernel spanned by the constants.
     """
-    a = -chain.m[:, None] * chain.generator
-    return 0.5 * (a + a.T)
+    return _dirichlet_of(chain.rates, chain.m)
 
 
 def _normalize_subset(size: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -297,7 +296,9 @@ def trace_rates(chain: ChainSpec, B: Iterable[int]) -> TraceChainSpec:
 
     r^B(j, k) = sum_l r(j, l) u_k(l) for j != k in B.  The trace only
     adds mass (r^B >= r on B) and preserves the holding rates, and m
-    restricted to B is invariant for r^B.
+    restricted to B is invariant for r^B.  The rates are nonnegative in
+    exact arithmetic: roundoff down to -1e-12 times the largest holding
+    rate is clipped to 0, anything below raises SingularSystemError.
     """
     b = _normalize_subset(chain.size, B)
     if len(b) < 2:
@@ -305,6 +306,12 @@ def trace_rates(chain: ChainSpec, B: Iterable[int]) -> TraceChainSpec:
     basis = harmonic_extensions(chain, b)
     rb = chain.rates[list(b), :] @ basis.matrix
     np.fill_diagonal(rb, 0.0)
+    floor = -1e-12 * chain.holding.max()
+    if not np.all(rb >= floor):
+        raise SingularSystemError(
+            f"trace rates on {b} reach {rb.min():.3e}, below roundoff {floor:.3e}"
+        )
+    rb[rb < 0] = 0.0
     gen_b = rb - np.diag(rb.sum(axis=1))
     m_b = chain.m[list(b)].copy()
     return TraceChainSpec(

@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import chain as chain_mod
-from .chain import dirichlet_matrix, harmonic_extensions, superharmonic_radius, trace_rates, upsilon_map
+from .chain import (
+    IDENTITY_TOL,
+    dirichlet_matrix,
+    harmonic_extensions,
+    superharmonic_radius,
+    trace_rates,
+    upsilon_map,
+)
 from .config import RunConfig, __version__, config_hash, parse_config
 from .diffusion import DiffusionConfig, simulate_diffusion_ensemble
 from .errors import (
@@ -38,7 +45,6 @@ from .experiments import (
 from .reporting import ManifestTimer, fmt, mask_of, write_csv
 from .zrp import ZrpConfig, simulate_zrp_ensemble
 
-IDENTITY_TOL = 1e-10
 UNITY_TOL = 1e-12
 SIGN_TOL = 1e-12
 
@@ -61,6 +67,13 @@ def _x0(config: RunConfig, size: int) -> np.ndarray:
     if config.experiment.x0 is not None:
         return np.asarray(config.experiment.x0, dtype=float)
     return np.full(size, 1.0 / size)
+
+
+def _sign_subset(config: RunConfig, size: int) -> tuple[int, ...]:
+    """Configured subset for the sign check; the first L-1 sites when it
+    is the full set, since the check needs a nonempty complement."""
+    subset = config.subset_indices(size)
+    return subset if len(subset) < size else tuple(range(size - 1))
 
 
 def _site_cols(size: int) -> list[str]:
@@ -316,8 +329,7 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
         passed = manifest.record(name, value <= tol)
         report.append((name, detail, value, tol, passed))
 
-    subset = config.subset_indices(chain.size)
-    sign_subset = subset if len(subset) < chain.size else tuple(range(chain.size - 1))
+    sign_subset = _sign_subset(config, chain.size)
     if len(sign_subset) >= 2:
         psi = superharmonic_sign_check(
             chain, sign_subset, config.model.b, config.effective_p(),
@@ -362,9 +374,7 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
 
 def cmd_psi4_check(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
-    subset = config.subset_indices(chain.size)
-    if len(subset) >= chain.size:
-        subset = tuple(range(chain.size - 1))
+    subset = _sign_subset(config, chain.size)
     psi = superharmonic_sign_check(
         chain, subset, config.model.b, config.effective_p(),
         config.experiment.eps, config.experiment.grid,

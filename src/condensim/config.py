@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -133,9 +134,13 @@ _SCALARS = {
     ("diffusion", "dt_base"): float,
     ("diffusion", "eps_abs"): float,
     ("diffusion", "noise_scale"): float,
+    ("diffusion", "horizon"): float,
     ("diffusion", "t_max"): float,
     ("experiment", "delta"): float,
+    ("experiment", "q"): float,
+    ("experiment", "p"): float,
     ("experiment", "eps"): float,
+    ("experiment", "horizon"): float,
     ("experiment", "seed"): int,
     ("experiment", "paths"): int,
     ("experiment", "grid"): int,
@@ -183,6 +188,8 @@ def parse_config(text: str) -> RunConfig:
             if target is not None and value is not None:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigSchemaError(f"{name}.{key}", f"expected a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigRangeError(f"{name}.{key} = {value} must be finite")
                 if target is int and int(value) != value:
                     raise ConfigSchemaError(f"{name}.{key}", "expected an integer")
                 value = target(value)
@@ -208,7 +215,7 @@ def _validate_ranges(config: RunConfig) -> None:
         (isinstance(n, bool)) or not isinstance(n, int) or n < 1 for n in model.N
     ):
         raise ConfigSchemaError("model.N", "must be a nonempty list of positive integers")
-    if diff.dt_base <= 0:
+    if not diff.dt_base > 0:
         raise ConfigRangeError(f"diffusion.dt_base = {diff.dt_base} must be positive")
     if not 0 < diff.eps_abs < 0.1:
         raise ConfigRangeError(f"diffusion.eps_abs = {diff.eps_abs} out of (0, 0.1)")

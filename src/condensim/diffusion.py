@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, TraceChainSpec, trace_rates
+from .chain import ChainSpec, trace_rates
 from .errors import (
     NonSimplexStartError,
     StepBlowupError,
     ZeroCoordinateError,
 )
-from .paths import PathSample
 from .rng import PathStreams, derive_seed
 
 # Hyperplane drift tolerance: increments sum to zero analytically, so
@@ -66,7 +65,7 @@ class DiffusionConfig:
     allow_small_b: bool = False
 
     def __post_init__(self):
-        if self.dt_base <= 0:
+        if not self.dt_base > 0:
             raise ValueError("dt_base must be positive")
         if not 0 < self.eps_abs < 0.1:
             raise ValueError("eps_abs must be a small positive threshold")
@@ -75,10 +74,10 @@ class DiffusionConfig:
         if self.dt_rule not in ("clamped", "quadratic"):
             raise ValueError(f"unknown dt rule {self.dt_rule!r}")
         st = np.asarray(self.sample_times, dtype=float)
-        if st.size and np.any(np.diff(st) <= 0):
+        if not np.all(np.diff(st) > 0):
             raise ValueError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", tuple(st.tolist()))
-        if self.b <= 1.0:
+        if not self.b > 1.0:
             if not self.allow_small_b:
                 raise ValueError(
                     "b <= 1 gives a diffusion that is not expected to be "
@@ -100,112 +99,6 @@ class DiffusionConfig:
             self.t_max, self.sample_times, self.cond_delta,
         )
         return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-@dataclass
-class DiffusionState:
-    """Current face, position and trace data of one path."""
-
-    B: tuple[int, ...]
-    x: np.ndarray  # full-length vector, exact zeros off B
-    t: float
-    trace: TraceChainSpec | None  # None when the path is trapped
-
-    @property
-    def trapped(self) -> bool:
-        return len(self.B) == 1
-
-
-def make_state(chain: ChainSpec, x, t: float = 0.0) -> DiffusionState:
-    """State with active set read off the strictly positive coordinates."""
-    x = np.asarray(x, dtype=float).copy()
-    if x.shape != (chain.size,) or np.any(x < 0):
-        raise NonSimplexStartError("point must be a nonnegative vector on the simplex")
-    if abs(x.sum() - 1.0) > SUM_TOL:
-        raise NonSimplexStartError(f"coordinates sum to {x.sum()}, not 1")
-    x /= x.sum()
-    b_set = tuple(int(j) for j in np.nonzero(x > 0)[0])
-    trace = trace_rates(chain, b_set) if len(b_set) >= 2 else None
-    return DiffusionState(B=b_set, x=x, t=t, trace=trace)
-
-
-def drift(state: DiffusionState, b: float) -> np.ndarray:
-    """Restricted drift b * sum_j (m_j / x_j) v^B_j, a length-|B| vector.
-
-    Components sum to zero because every v^B_j does.
-    """
-    if state.trace is None:
-        raise ZeroCoordinateError("drift undefined on a trapped path")
-    xb = state.x[list(state.B)]
-    if np.any(xb <= 0):
-        raise ZeroCoordinateError(
-            "zero coordinate inside the active set: absorption was missed"
-        )
-    w = state.trace.m_B / xb
-    return b * (w @ state.trace.drift_vectors)
-
-
-def noise_basis(trace: TraceChainSpec) -> np.ndarray:
-    """Noise columns sqrt(m_j r^B(j,k)) (e_k - e_j), one per ordered pair.
-
-    Shape (|B|*(|B|-1), |B|); the columns c satisfy
-    sum_c c c^T = 2 * a_s^B, so Euler-Maruyama driven by one standard
-    gaussian per column realizes the Tr[a_s Hess] diffusion term.
-    """
-    nb = trace.size
-    cols = []
-    for j in range(nb):
-        for k in range(nb):
-            if j == k:
-                continue
-            col = np.zeros(nb)
-            amp = np.sqrt(trace.m_B[j] * trace.rates[j, k])
-            col[k] = amp
-            col[j] = -amp
-            cols.append(col)
-    return np.asarray(cols)
-
-
-def em_step(
-    state: DiffusionState,
-    dt: float,
-    draws: np.ndarray,
-    b: float,
-    noise_scale: float = 1.0,
-) -> DiffusionState:
-    """One explicit Euler-Maruyama step; absorption is NOT applied here.
-
-    ``draws`` holds one standard gaussian per ordered pair of active
-    sites, shape (|B|, |B|) with the diagonal ignored.  The candidate
-    may carry negative coordinates; absorption detection owns their
-    handling.  Raises StepBlowupError when the hyperplane constraint
-    drifts beyond tolerance, which signals dt too large near the
-    singular drift.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    trace = state.trace
-    if trace is None:
-        return DiffusionState(state.B, state.x.copy(), state.t + dt, None)
-    nb = trace.size
-    draws = np.asarray(draws, dtype=float)
-    if draws.shape != (nb, nb):
-        raise ValueError(f"need draws of shape ({nb}, {nb})")
-    xb = state.x[list(state.B)]
-    incr = drift(state, b) * dt
-    if noise_scale > 0:
-        c = np.sqrt(trace.m_B[:, None] * trace.rates)
-        w = c * draws * noise_scale
-        incr = incr + np.sqrt(dt) * (w.sum(axis=0) - w.sum(axis=1))
-    xb_new = xb + incr
-    total = xb_new.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise StepBlowupError(
-            f"hyperplane violated by {total - 1.0:.3e} at t={state.t}: dt too large"
-        )
-    x_new = np.zeros_like(state.x)
-    x_new[list(state.B)] = xb_new / total
-    return DiffusionState(state.B, x_new, state.t + dt, trace)
 
 
 @dataclass(frozen=True)
@@ -256,6 +149,66 @@ class FaceTable:
             self.noise_diag[mask, members] = 2.0 * np.diag(trace.dirichlet)
 
 
+def drift(
+    faces: FaceTable, masks: np.ndarray, x: np.ndarray, m: np.ndarray, b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restricted drift b * sum_{j in B} (m_j / x_j) v^B_j, one row per path.
+
+    Row ``p`` is on the face ``masks[p]`` at the full-length point
+    ``x[p]``.  Returns the (M, L) active-set indicator and the (M, L)
+    drift, which is zero off the active set and sums to zero along each
+    row because every v^B_j does.  Raises ZeroCoordinateError when an
+    active coordinate is not strictly positive (a missed absorption).
+    """
+    active = faces.active[masks]  # (M, L)
+    if not np.all(x[active] > 0):
+        raise ZeroCoordinateError("zero coordinate inside an active set")
+    vv = faces.drift_v[masks]  # (M, L, L)
+    w = np.where(active, m / np.where(active, x, 1.0), 0.0)
+    return active, b * np.einsum("pj,pjk->pk", w, vv)
+
+
+def em_step(
+    faces: FaceTable,
+    masks: np.ndarray,
+    paths: np.ndarray,
+    x: np.ndarray,
+    t: np.ndarray,
+    drift_vec: np.ndarray,
+    dt: np.ndarray,
+    xi: np.ndarray | None,
+    noise_scale: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One explicit Euler-Maruyama step per row; absorption is NOT applied.
+
+    The increment is drift_vec * dt + sqrt(dt) * noise, where the noise
+    of row ``p`` is sum_{j,k} c_jk xi_jk (e_k - e_j) with c = noise_c of
+    its face (so sum c c^T = 2 a_s^B) and ``xi`` of shape (M, L, L)
+    holding one standard gaussian per ordered pair; ``xi`` is unused
+    when ``noise_scale`` is 0.  ``paths`` names the rows in errors.
+    Returns the renormalized points and t + dt.  The points may carry
+    negative coordinates; absorption detection owns their handling.
+    Raises StepBlowupError when a row leaves the hyperplane beyond
+    tolerance (or turns NaN), which signals dt too large near the
+    singular drift.
+    """
+    xb_new = x + drift_vec * dt[:, None]
+    if noise_scale > 0:
+        wn = faces.noise_c[masks] * xi * noise_scale
+        incr = wn.sum(axis=1) - wn.sum(axis=2)
+        xb_new = xb_new + np.sqrt(dt)[:, None] * incr
+
+    total = xb_new.sum(axis=1)
+    bad = ~(np.abs(total - 1.0) <= SUM_TOL)
+    if bad.any():
+        row = int(np.nonzero(bad)[0][0])
+        raise StepBlowupError(
+            f"hyperplane violated by {total[row] - 1.0:.3e} on path "
+            f"{paths[row]} at t={t[row]:.6g}, x={x[row]}"
+        )
+    return xb_new / total[:, None], t + dt
+
+
 @dataclass
 class DiffusionEnsemble:
     """Results of a batch of absorbed-diffusion paths."""
@@ -281,20 +234,6 @@ class DiffusionEnsemble:
         time = float(self.trapped_time[i]) if vertex is not None else None
         return AbsorptionTrace(events=evs, trapped_vertex=vertex, trapped_time=time)
 
-    def path(self, i: int) -> PathSample:
-        size = self.config.chain.size
-        pts = self.samples[i] if self.samples is not None else np.empty((0, size))
-        return PathSample(
-            times=self.times.copy(),
-            points=pts.copy(),
-            meta={
-                "engine": "diffusion",
-                "seed": self.config.seed,
-                "path": i,
-                "config": self.config.digest(),
-            },
-        )
-
 
 def simulate_diffusion_ensemble(
     config: DiffusionConfig, x0, n_paths: int
@@ -302,12 +241,14 @@ def simulate_diffusion_ensemble(
     """Integrate ``n_paths`` paths of the absorbed diffusion from x0."""
     chain = config.chain
     size = chain.size
-    state0 = make_state(chain, x0)
-    x0 = state0.x
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (size,) or not np.all(x0 >= 0):
+        raise NonSimplexStartError("point must be a nonnegative vector on the simplex")
+    if not abs(x0.sum() - 1.0) <= SUM_TOL:
+        raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
+    x0 = x0 / x0.sum()
     faces = FaceTable(chain)
-    mask0 = 0
-    for j in state0.B:
-        mask0 |= 1 << j
+    mask0 = int(sum(1 << int(j) for j in np.nonzero(x0 > 0)[0]))
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size
@@ -338,10 +279,9 @@ def simulate_diffusion_ensemble(
             sample_masks[ids[row], next_samp[row]] = mask
             next_samp[row] += 1
 
-    if len(state0.B) == 1:
+    if faces.popcount[mask0] == 1:
         # Started at a vertex: trapped forever at time zero.
-        vertex = state0.B[0]
-        trapped_vertex[:] = vertex
+        trapped_vertex[:] = mask0.bit_length() - 1
         trapped_time[:] = 0.0
         t_cond[:] = 0.0
         if n_samp:
@@ -369,14 +309,7 @@ def simulate_diffusion_ensemble(
     ns2 = config.noise_scale**2
 
     while ids.size:
-        m_act = ids.size
-        active = faces.active[masks]  # (M, L)
-        if np.any(x[active] <= 0):
-            raise ZeroCoordinateError("zero coordinate inside an active set")
-        vv = faces.drift_v[masks]  # (M, L, L)
-        w = np.where(active, chain.m / np.where(active, x, 1.0), 0.0)
-        drift_vec = config.b * np.einsum("pj,pjk->pk", w, vv)
-
+        active, drift_vec = drift(faces, masks, x, chain.m, config.b)
         xa = np.where(active, x, np.inf)
         xmin = xa.min(axis=1)
         dt = config.dt_base * np.minimum(1.0, (xmin / eps_guard) ** 2)
@@ -397,23 +330,12 @@ def simulate_diffusion_ensemble(
                     cap_n = np.inf
             dt = np.minimum(dt, np.minimum(cap_d, cap_n))
 
-        xb_new = x + drift_vec * dt[:, None]
+        xi = None
         if config.noise_scale > 0:
-            xi = streams.take(ids).reshape(m_act, size, size)
-            wn = faces.noise_c[masks] * xi * config.noise_scale
-            incr = wn.sum(axis=1) - wn.sum(axis=2)
-            xb_new = xb_new + np.sqrt(dt)[:, None] * incr
-
-        total = xb_new.sum(axis=1)
-        bad = np.abs(total - 1.0) > SUM_TOL
-        if bad.any():
-            row = int(np.nonzero(bad)[0][0])
-            raise StepBlowupError(
-                f"hyperplane violated by {total[row] - 1.0:.3e} on path "
-                f"{ids[row]} at t={t[row]:.6g}, x={x[row]}"
-            )
-        x_new = xb_new / total[:, None]
-        t_new = t + dt
+            xi = streams.take(ids).reshape(ids.size, size, size)
+        x_new, t_new = em_step(
+            faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale
+        )
 
         # Absorption: coordinates at or below the threshold (including
         # negatives) are glued to zero; simultaneous hits allowed.
@@ -478,14 +400,6 @@ def simulate_diffusion_ensemble(
         config, x0, n_paths, sample_times, samples, sample_masks,
         sigma1, trapped_vertex, trapped_time, t_cond, events,
     )
-
-
-def simulate_diffusion_path(
-    config: DiffusionConfig, x0
-) -> tuple[PathSample, AbsorptionTrace]:
-    """Single-path convenience wrapper around the ensemble engine."""
-    ens = simulate_diffusion_ensemble(config, x0, n_paths=1)
-    return ens.path(0), ens.trace(0)
 
 
 def drift_field(chain: ChainSpec, b: float, x: np.ndarray) -> np.ndarray:

@@ -499,16 +499,3 @@ def trace_rate_mc(
         stderr=stderr,
         n_excursions=n_excursions,
     )
-
-
-def max_early_displacement(samples: np.ndarray, times, delta: float) -> np.ndarray:
-    """Per-path sup_{t <= delta} ||X_t - X_0|| on the sample grid.
-
-    Modulus-of-continuity diagnostic: under convergence to a continuous
-    limit this statistic's upper quantiles vanish as delta -> 0.
-    """
-    samples = np.asarray(samples, dtype=float)
-    times = np.asarray(times, dtype=float)
-    window = times <= delta
-    disp = np.linalg.norm(samples - samples[:, :1, :], axis=2)
-    return disp[:, window].max(axis=1)

@@ -6,6 +6,11 @@ ensemble produces the same numbers regardless of batching, compaction,
 or scheduling.  The engines step many paths in lockstep; to avoid one
 generator call per path per step, draws are buffered in fixed-size
 blocks per path.
+
+Lockstep contract: every path passed to ``PathStreams.take`` has taken
+exactly as many steps as every other path passed to it; paths only
+ever leave the live set, never skip a step or join late.  One shared
+step counter therefore locates every listed path in its buffer.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ class PathStreams:
     Each step of path ``p`` consumes exactly ``values_per_step`` numbers
     from the stream keyed ``(seed, p)``.  ``take`` gathers the next
     values for a set of paths (identified by their original indices)
-    and refills exhausted blocks from the paths' own generators.
+    and, at the start of each block of steps, refills the listed paths'
+    buffers from their own generators.  The listed paths must obey the
+    lockstep contract of this module.
     """
 
     def __init__(
@@ -53,7 +60,7 @@ class PathStreams:
         self.gaussian = gaussian
         self._gens = [path_generator(seed, p) for p in range(n_paths)]
         self._buf = np.empty((n_paths, self.block, self.k))
-        self._ptr = np.zeros(n_paths, dtype=np.int64)
+        self._step = 0
 
     def _fill(self, path: int) -> None:
         g = self._gens[path]
@@ -64,10 +71,9 @@ class PathStreams:
 
     def take(self, paths: np.ndarray) -> np.ndarray:
         """Next ``values_per_step`` draws for each listed path."""
-        slots = self._ptr[paths] % self.block
-        refill = paths[slots == 0]
-        for p in refill:
-            self._fill(int(p))
-        out = self._buf[paths, self._ptr[paths] % self.block, :]
-        self._ptr[paths] += 1
-        return out
+        slot = self._step % self.block
+        if slot == 0:
+            for p in paths:
+                self._fill(int(p))
+        self._step += 1
+        return self._buf[paths, slot, :]

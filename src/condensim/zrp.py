@@ -22,7 +22,6 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import BadInitialError, NotLatticeError
-from .paths import PathSample
 from .rng import PathStreams, derive_seed
 
 G_FAMILIES = ("default", "corrected")
@@ -63,9 +62,9 @@ def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: 
     table = np.stack(
         [jump_rate_g(j, n, chain.m, b, family, correction) for j in range(chain.size)]
     )
-    if np.any(table < 0):
+    if not np.all(table >= 0):
         raise ValueError(
-            f"jump-rate family {family!r} with b={b} produces negative rates"
+            f"jump-rate family {family!r} with b={b} produces negative or NaN rates"
         )
     return table
 
@@ -91,12 +90,12 @@ class ZrpConfig:
     t_max: float = 1e3
 
     def __post_init__(self):
-        if self.n_particles < 1:
+        if not self.n_particles >= 1:
             raise ValueError("need at least one particle")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("condensation threshold delta must be in (0, 1)")
         st = np.asarray(self.sample_times, dtype=float)
-        if st.size and np.any(np.diff(st) <= 0):
+        if not np.all(np.diff(st) > 0):
             raise ValueError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", tuple(st.tolist()))
         if self.g_family not in G_FAMILIES:
@@ -132,19 +131,6 @@ class ZrpEnsemble:
     t_cond: np.ndarray  # (n_paths,) first condensation time, nan if none
     winner: np.ndarray  # (n_paths,) condensed site, -1 if none
     first_event: np.ndarray | None = None  # (n_paths,) time of first jump
-
-    def path(self, i: int) -> PathSample:
-        pts = self.samples[i] if self.samples is not None else np.empty((0, self.config.chain.size))
-        return PathSample(
-            times=self.times.copy(),
-            points=pts.copy(),
-            meta={
-                "engine": "zrp",
-                "seed": self.config.seed,
-                "path": i,
-                "config": self.config.digest(),
-            },
-        )
 
 
 def _check_lattice(x: np.ndarray, n: int) -> np.ndarray:
@@ -302,22 +288,3 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
         config, eta0, n_paths, np.asarray(config.sample_times),
         samples, t_cond, winner, first_event,
     )
-
-
-@dataclass(frozen=True)
-class CondensationRecord:
-    """First time a single site held at least (1-delta)N particles."""
-
-    t: float | None
-    winner: int | None
-
-
-def simulate_zrp_path(config: ZrpConfig, eta0) -> tuple[PathSample, CondensationRecord]:
-    """Single-path convenience wrapper around the ensemble engine."""
-    ens = simulate_zrp_ensemble(config, eta0, n_paths=1)
-    sample = ens.path(0)
-    if np.isnan(ens.t_cond[0]):
-        record = CondensationRecord(t=None, winner=None)
-    else:
-        record = CondensationRecord(t=float(ens.t_cond[0]), winner=int(ens.winner[0]))
-    return sample, record

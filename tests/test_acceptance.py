@@ -18,7 +18,7 @@ from condensim.chain import (
     trace_rates,
     upsilon_map,
 )
-from condensim.cli import main
+from condensim.cli import default_eta0, main
 from condensim.diffusion import (
     DiffusionConfig,
     generator_apply,
@@ -57,12 +57,6 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def balanced_eta0(size: int, n: int) -> np.ndarray:
-    eta = np.full(size, n // size, dtype=np.int64)
-    eta[: n - int(eta.sum())] += 1
-    return eta
-
-
 @pytest.fixture(scope="module")
 def diff_k3():
     """K3, b = 1.5, run to trap: shared by criteria 4, 5, 8, 10."""
@@ -79,7 +73,7 @@ def zrp_k3():
     out = {}
     for n in N_LIST:
         config = ZrpConfig(chain=k3(), n_particles=n, b=1.5, seed=SEED, delta=DELTA)
-        out[n] = simulate_zrp_ensemble(config, balanced_eta0(3, n), PATHS)
+        out[n] = simulate_zrp_ensemble(config, default_eta0(3, n), PATHS)
     return out
 
 
@@ -224,7 +218,7 @@ def test_criterion_6_martingale_residuals():
         chain=chain, n_particles=n_zrp, b=1.5, seed=SEED + 2,
         sample_times=grid, horizon=horizon,
     )
-    zens = simulate_zrp_ensemble(zconf, balanced_eta0(3, n_zrp), PATHS)
+    zens = simulate_zrp_ensemble(zconf, default_eta0(3, n_zrp), PATHS)
 
     results = []
     for h in bumps:
@@ -289,8 +283,7 @@ def test_criterion_8_absorption_structure(diff_k3):
     )
 
 
-def test_criterion_9_determinism(tmp_path):
-    doc = """
+CRITERION_9_DOC = """
 chain:
   rates: [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.1, 1.0, 0.0]]
 model:
@@ -305,11 +298,14 @@ experiment:
 output:
   directory: PLACEHOLDER
 """
+
+
+def test_criterion_9_determinism(tmp_path):
     outputs = {}
     for run in ("a", "b"):
         outdir = tmp_path / run
         cfg = tmp_path / f"cfg_{run}.yaml"
-        cfg.write_text(doc.replace("PLACEHOLDER", str(outdir)))
+        cfg.write_text(CRITERION_9_DOC.replace("PLACEHOLDER", str(outdir)))
         for sub in ("chain-info", "zrp-run", "diff-run", "verify", "psi4-check", "compare"):
             code = main([sub, str(cfg)])
             assert code == 0, f"{sub} exited {code}"

@@ -159,6 +159,21 @@ class TestVerify:
         bad = tmp_path / "bad.yaml"
         bad.write_text("chain:\n  rates: [[0.0, 1.0], [1.0, 0.0]]\n")
         assert main(["verify", str(bad)]) == 2
+        # Non-finite numbers are range errors: a NaN step size would
+        # never advance the diffusion, a NaN horizon never retires a
+        # ZRP path, and NaN jump rates corrupt the event selection.
+        base = write_config(tmp_path, paths=5)[0].read_text()
+        nonfinite = {
+            "diff-run": base + "diffusion:\n  dt_base: .nan\n",
+            "zrp-run": base.replace(
+                "b: 1.5", "b: 1.5\n  g_family: corrected\n  g_correction: .nan"
+            ).replace("delta: 0.05", "delta: 0.05\n  horizon: 0.1"),
+            "compare": base.replace("delta: 0.05", "delta: 0.05\n  horizon: .nan"),
+        }
+        for sub, doc in nonfinite.items():
+            cfg = tmp_path / f"nonfinite-{sub}.yaml"
+            cfg.write_text(doc)
+            assert main([sub, str(cfg)]) == 2, sub
 
 
 class TestExitCodes:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,16 +10,18 @@ from scipy.integrate import solve_ivp
 from condensim.chain import dirichlet_matrix, trace_rates, validate_chain
 from condensim.diffusion import (
     DiffusionConfig,
+    FaceTable,
     drift,
     drift_field,
     em_step,
     generator_apply,
-    make_state,
-    noise_basis,
     simulate_diffusion_ensemble,
-    simulate_diffusion_path,
 )
-from condensim.errors import NonSimplexStartError, ZeroCoordinateError
+from condensim.errors import (
+    NonSimplexStartError,
+    StepBlowupError,
+    ZeroCoordinateError,
+)
 
 from _chains import k3, random_irreducible_chain
 
@@ -30,99 +37,166 @@ def two_site():
     return validate_chain([[0.0, 1.0], [1.0, 0.0]])
 
 
+def face_masks(x: np.ndarray) -> np.ndarray:
+    """Bitmask of the strictly positive coordinates of each row."""
+    return ((x > 0) << np.arange(x.shape[1])).sum(axis=1)
+
+
+def engine_drift(chain, x, b):
+    """The engine's drift at the rows of x, each on its own support."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return drift(FaceTable(chain), face_masks(x), x, chain.m, b)[1]
+
+
+def engine_step(chain, x, dt, xi=None, b=1.5, noise_scale=1.0):
+    """One engine EM step of the single point x on its own support."""
+    faces = FaceTable(chain)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    masks = face_masks(x)
+    _, drift_vec = drift(faces, masks, x, chain.m, b)
+    xi = np.zeros((1, chain.size, chain.size)) if xi is None else xi[None]
+    x_new, t_new = em_step(
+        faces, masks, np.arange(1), x, np.zeros(1), drift_vec,
+        np.full(1, dt), xi, noise_scale,
+    )
+    assert t_new[0] == dt
+    return x_new[0]
+
+
 class TestDrift:
     def test_barycenter_of_symmetric_chain_is_critical(self):
-        state = make_state(k3(), np.full(3, 1 / 3))
-        np.testing.assert_allclose(drift(state, b=1.5), 0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            engine_drift(k3(), np.full(3, 1 / 3), b=1.5), 0.0, atol=1e-12
+        )
 
     def test_k3_point_value(self):
-        state = make_state(k3(), [0.5, 0.25, 0.25])
-        np.testing.assert_allclose(drift(state, b=1.5), [2.0, -1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(
+            engine_drift(k3(), [0.5, 0.25, 0.25], b=1.5), [[2.0, -1.0, -1.0]], atol=1e-12
+        )
 
     def test_components_sum_to_zero(self):
         rng = np.random.default_rng(31)
         chain = random_irreducible_chain(rng, 5)
-        for _ in range(10):
-            state = make_state(chain, rng.dirichlet(np.ones(5)))
-            assert abs(drift(state, b=2.0).sum()) <= 1e-12
+        points = rng.dirichlet(np.ones(5), size=10)
+        points[:3, 1] = 0.0  # rows on faces, off-face drift must vanish
+        points /= points.sum(axis=1, keepdims=True)
+        d = engine_drift(chain, points, b=2.0)
+        assert np.all(np.abs(d.sum(axis=1)) <= 1e-12)
+        assert np.all(d[:3, 1] == 0.0)
 
-    def test_trapped_state_rejected(self):
-        state = make_state(k3(), [1.0, 0.0, 0.0])
-        with pytest.raises(ZeroCoordinateError):
-            drift(state, b=1.5)
+    def test_zero_active_coordinate_rejected(self):
+        # A coordinate of the active face that is zero or NaN means an
+        # absorption was missed; it must not yield an infinite drift.
+        faces = FaceTable(k3())
+        for bad in (0.0, np.nan):
+            x = np.array([[bad, 0.5, 0.5]])
+            with pytest.raises(ZeroCoordinateError):
+                drift(faces, np.array([0b111]), x, k3().m, 1.5)
 
 
 class TestNoiseBasis:
+    """The engine's noise columns sqrt(m_j r^B(j,k)) (e_k - e_j), one per
+    ordered pair of the face, are read off FaceTable.noise_c."""
+
+    @staticmethod
+    def columns(faces, mask):
+        c = faces.noise_c[mask]
+        cols = []
+        for j, k in zip(*np.nonzero(~np.eye(c.shape[0], dtype=bool))):
+            col = np.zeros(c.shape[0])
+            col[k] = c[j, k]
+            col[j] = -c[j, k]
+            cols.append(col)
+        return np.asarray(cols)
+
     def test_k3_column_entries(self):
-        trace = trace_rates(k3(), (0, 1, 2))
-        cols = noise_basis(trace)
+        faces = FaceTable(k3())
+        cols = self.columns(faces, 0b111)
         assert cols.shape == (6, 3)
         nz = cols[np.abs(cols) > 0]
+        assert nz.size == 12
         np.testing.assert_allclose(np.abs(nz), np.sqrt(1 / 3), atol=1e-14)
+        assert np.all(np.diag(faces.noise_c[0b111]) == 0.0)
 
     def test_columns_sum_to_zero(self):
-        trace = trace_rates(k3(), (0, 1))
-        np.testing.assert_allclose(noise_basis(trace).sum(axis=1), 0.0, atol=1e-15)
+        # Face {0, 1}: the noise stays on the face and on the hyperplane.
+        faces = FaceTable(k3())
+        cols = self.columns(faces, 0b011)
+        np.testing.assert_allclose(cols.sum(axis=1), 0.0, atol=1e-15)
+        assert np.all(cols[:, 2] == 0.0)
+        x = np.array([0.5, 0.5, 0.0])
+        new = engine_step(k3(), x, 1e-3, xi=np.arange(9.0).reshape(3, 3))
+        assert new[2] == 0.0
+        assert abs((new - x).sum()) <= 1e-15
+        assert not np.allclose(new, x)
 
     def test_outer_product_identity_random(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
             chain = random_irreducible_chain(rng, int(rng.integers(3, 7)))
-            trace = trace_rates(chain, tuple(range(chain.size)))
-            cols = noise_basis(trace)
-            outer = cols.T @ cols
-            np.testing.assert_allclose(outer, 2 * trace.dirichlet, atol=1e-12)
+            faces = FaceTable(chain)
+            for mask in range(1, 1 << chain.size):
+                members = [j for j in range(chain.size) if mask >> j & 1]
+                if len(members) < 2:
+                    continue
+                trace = trace_rates(chain, members)
+                cols = self.columns(faces, mask)
+                outer = cols.T @ cols
+                np.testing.assert_allclose(
+                    outer[np.ix_(members, members)], 2 * trace.dirichlet, atol=1e-12
+                )
+                np.testing.assert_allclose(faces.noise_diag[mask], np.diag(outer), atol=1e-12)
 
 
 class TestEmStep:
     def test_fixed_point_with_zero_draws(self):
-        state = make_state(k3(), np.full(3, 1 / 3))
-        new = em_step(state, 1e-3, np.zeros((3, 3)), b=1.5)
-        np.testing.assert_allclose(new.x, state.x, atol=1e-15)
+        x = np.full(3, 1 / 3)
+        np.testing.assert_allclose(engine_step(k3(), x, 1e-3), x, atol=1e-15)
 
     def test_ode_mode_drift_sign(self, two_site):
         # b * M * (1/x_2 - 1/x_1) = 1.5 * 0.5 * (4/3 - 4) < 0.
-        state = make_state(two_site, [0.25, 0.75])
-        new = em_step(state, 1e-4, np.zeros((2, 2)), b=1.5, noise_scale=0.0)
-        assert new.x[0] < 0.25
+        new = engine_step(two_site, [0.25, 0.75], 1e-4, noise_scale=0.0)
+        assert new[0] < 0.25
 
     def test_single_drift_step_value(self):
-        state = make_state(k3(), [0.5, 0.25, 0.25])
-        new = em_step(state, 1e-3, np.zeros((3, 3)), b=1.5)
-        np.testing.assert_allclose(
-            new.x, [0.5 + 2e-3, 0.25 - 1e-3, 0.25 - 1e-3], atol=1e-12
-        )
+        new = engine_step(k3(), [0.5, 0.25, 0.25], 1e-3)
+        np.testing.assert_allclose(new, [0.5 + 2e-3, 0.25 - 1e-3, 0.25 - 1e-3], atol=1e-12)
 
     def test_noise_moves_state(self):
-        state = make_state(k3(), np.full(3, 1 / 3))
-        draws = np.arange(9.0).reshape(3, 3)
-        new = em_step(state, 1e-3, draws, b=1.5)
-        assert not np.allclose(new.x, state.x)
-        assert new.x.sum() == pytest.approx(1.0, abs=1e-12)
+        x = np.full(3, 1 / 3)
+        new = engine_step(k3(), x, 1e-3, xi=np.arange(9.0).reshape(3, 3))
+        assert not np.allclose(new, x)
+        assert new.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_blowup_detected(self):
         # A huge step against a nearly-vanished coordinate produces
         # increments so large that float cancellation breaks the
         # hyperplane budget, which must surface, not renormalize away.
-        from condensim.errors import StepBlowupError
-
-        state = make_state(k3(), [1e-15, 0.5, 0.5 - 1e-15])
         with pytest.raises(StepBlowupError):
-            em_step(state, 1e3, np.zeros((3, 3)), b=1.5)
+            engine_step(k3(), [1e-15, 0.5, 0.5 - 1e-15], 1e3)
+        # A NaN increment must surface the same way.
+        faces = FaceTable(k3())
+        x = np.full((1, 3), 1 / 3)
+        with pytest.raises(StepBlowupError):
+            em_step(
+                faces, np.array([0b111]), np.arange(1), x, np.zeros(1),
+                np.array([[np.nan, 0.0, 0.0]]), np.full(1, 1e-3), np.zeros((1, 3, 3)), 1.0,
+            )
 
 
 class TestSimulate:
     def test_vertex_start_trapped_immediately(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
-        _, trace = simulate_diffusion_path(config, [1.0, 0.0, 0.0])
+        trace = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1).trace(0)
         assert trace.trapped_vertex == 0
         assert trace.trapped_time == 0.0
         assert trace.events == ()
 
     def test_non_simplex_start_rejected(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
-        with pytest.raises(NonSimplexStartError):
-            simulate_diffusion_path(config, [0.7, 0.7, 0.1])
+        for x0 in ([0.7, 0.7, 0.1], [np.nan, 0.5, 0.5]):
+            with pytest.raises(NonSimplexStartError):
+                simulate_diffusion_ensemble(config, x0, 1)
 
     def test_ode_blowdown_time_matches_reference(self, two_site):
         # Independent oracle: high-accuracy integration of the drift ODE
@@ -145,7 +219,7 @@ class TestSimulate:
         # Reference agrees with the closed-form blow-down integral.
         assert t_ref == pytest.approx(TWO_SITE_BLOWDOWN, abs=1e-6)
 
-        _, trace = simulate_diffusion_path(config, [0.25, 0.75])
+        trace = simulate_diffusion_ensemble(config, [0.25, 0.75], 1).trace(0)
         assert trace.trapped_vertex == 1
         assert trace.sigma1 == pytest.approx(t_ref, abs=1e-3)
 
@@ -202,6 +276,37 @@ class TestSimulate:
         np.testing.assert_array_equal(big.sigma1[:3], small.sigma1)
         np.testing.assert_array_equal(big.trapped_vertex[:3], small.trapped_vertex)
 
+    def test_roundoff_negative_trace_rate_is_clipped(self):
+        # On this chain the trace rate on face {0,1,2,3,4,5,7} comes out
+        # near -3.8e-16 before clipping; its square root used to put NaN
+        # noise into the face table, and the NaN paths never retired.
+        rng = np.random.default_rng(0)
+        chain = [random_irreducible_chain(rng, size) for size in (6, 8, 10)][-1]
+        for mask in range(1, 1 << chain.size):
+            members = [j for j in range(chain.size) if mask >> j & 1]
+            if len(members) >= 2:
+                assert np.all(trace_rates(chain, members).rates >= 0), members
+        assert np.all(np.isfinite(FaceTable(chain).noise_c))
+        # A hang must fail this test instead of stalling the suite.
+        script = (
+            "import numpy as np\n"
+            "from condensim.chain import validate_chain\n"
+            "from condensim.diffusion import DiffusionConfig, simulate_diffusion_ensemble\n"
+            f"chain = validate_chain(np.array({chain.rates.tolist()!r}))\n"
+            "config = DiffusionConfig(chain, b=1.5, seed=1, horizon=0.5, sample_times=(0.25, 0.5))\n"
+            "ens = simulate_diffusion_ensemble(config, np.full(10, 0.1), 500)\n"
+            "assert np.all(np.isfinite(ens.samples))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=120,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_small_b_requires_override(self):
         with pytest.raises(ValueError):
             DiffusionConfig(chain=k3(), b=0.8, seed=1)
@@ -216,7 +321,7 @@ class TestSchemeAccuracy:
             config = DiffusionConfig(
                 chain=two_site, b=1.5, seed=0, noise_scale=0.0, dt_base=dt
             )
-            _, trace = simulate_diffusion_path(config, [0.25, 0.75])
+            trace = simulate_diffusion_ensemble(config, [0.25, 0.75], 1).trace(0)
             errors.append(abs(trace.sigma1 - TWO_SITE_BLOWDOWN))
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]

@@ -16,7 +16,6 @@ from condensim.experiments import (
     compare_winner,
     ks_distance,
     martingale_residual,
-    max_early_displacement,
     superharmonic_expression,
     superharmonic_region_grid,
     superharmonic_sign_check,
@@ -247,12 +246,3 @@ class TestMartingaleResidual:
         samples = np.full((2, 3, 3), np.nan)
         with pytest.raises(IncompletePathError):
             martingale_residual(samples, np.arange(3.0), h, lambda p: p.sum(-1))
-
-
-def test_max_early_displacement():
-    times = np.array([0.0, 0.1, 0.2, 0.5])
-    samples = np.zeros((1, 4, 2))
-    samples[0, :, 0] = [0.5, 0.6, 0.4, 0.9]
-    samples[0, :, 1] = 1.0 - samples[0, :, 0]
-    disp = max_early_displacement(samples, times, delta=0.25)
-    assert disp[0] == pytest.approx(np.sqrt(2) * 0.1)

@@ -7,7 +7,6 @@ from condensim.zrp import (
     ZrpConfig,
     jump_rate_g,
     simulate_zrp_ensemble,
-    simulate_zrp_path,
     zrp_generator_apply,
 )
 
@@ -77,13 +76,13 @@ class TestSimulate:
     def test_wrong_particle_count_rejected(self):
         config = ZrpConfig(chain=k3(), n_particles=10, b=1.5, seed=1)
         with pytest.raises(BadInitialError):
-            simulate_zrp_path(config, [3, 3, 3])
+            simulate_zrp_ensemble(config, [3, 3, 3], 1)
 
     def test_already_condensed_at_start(self):
         config = ZrpConfig(chain=k3(), n_particles=30, b=1.5, seed=1, delta=0.05)
-        _, record = simulate_zrp_path(config, [30, 0, 0])
-        assert record.t == 0.0
-        assert record.winner == 0
+        ens = simulate_zrp_ensemble(config, [30, 0, 0], 1)
+        assert ens.t_cond[0] == 0.0
+        assert ens.winner[0] == 0
 
     def test_conservation_along_path(self):
         times = tuple(np.linspace(0.0, 0.2, 41))
@@ -91,10 +90,10 @@ class TestSimulate:
             chain=k3(), n_particles=30, b=1.5, seed=7,
             sample_times=times, horizon=0.2,
         )
-        sample, _ = simulate_zrp_path(config, [10, 10, 10])
-        assert not np.any(np.isnan(sample.points))
-        np.testing.assert_allclose(sample.points.sum(axis=1), 1.0, atol=1e-12)
-        lattice = sample.points * 30
+        points = simulate_zrp_ensemble(config, [10, 10, 10], 1).samples[0]
+        assert not np.any(np.isnan(points))
+        np.testing.assert_allclose(points.sum(axis=1), 1.0, atol=1e-12)
+        lattice = points * 30
         np.testing.assert_allclose(lattice, np.rint(lattice), atol=1e-9)
 
     def test_determinism_bit_identical(self):

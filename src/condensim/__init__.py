@@ -6,19 +6,17 @@ from .chain import (
     ChainSpec,
     HarmonicBasis,
     TraceChainSpec,
-    UpsilonMap,
+    chain_identity_residuals,
     dirichlet_matrix,
     harmonic_extensions,
     hitting_diagonal_min,
     invariant_measure,
     superharmonic_radius,
     trace_rates,
-    upsilon_map,
     validate_chain,
 )
-from .config import RunConfig, config_hash, emit_config, parse_config
+from .config import RunConfig, config_hash, parse_config
 from .diffusion import (
-    AbsorptionTrace,
     DiffusionConfig,
     DiffusionEnsemble,
     simulate_diffusion_ensemble,

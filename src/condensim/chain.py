@@ -3,10 +3,11 @@
 Everything downstream (both simulation engines and the verification
 harness) is built from the objects in this module: validated rate
 matrices with their invariant measures, Dirichlet-form matrices,
-harmonic extensions of indicators, trace chains on subsets, the linear
-projection onto a sub-simplex, and the explicit super-harmonicity
-radius.  All values are immutable after construction and safe to share
-across simulation workers.
+harmonic extensions of indicators (whose transpose is the linear
+projection onto a sub-simplex), trace chains on subsets, the residuals
+of the identities tying them together, and the explicit
+super-harmonicity radius.  All values are immutable after construction
+and safe to share across simulation workers.
 
 Sites are indexed 0..L-1 throughout the library; the CLI layer converts
 to the 1-based labels used in configs and reports.
@@ -15,6 +16,7 @@ to the 1-based labels used in configs and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +37,9 @@ from .errors import (
 # Algebraic identities on well-conditioned dense systems of this size
 # hold to roughly machine precision; 1e-10 leaves two orders of slack.
 IDENTITY_TOL = 1e-10
+# Rows of the harmonic basis sum to 1 up to the roundoff of one dense
+# solve, far inside IDENTITY_TOL.
+UNITY_TOL = 1e-12
 
 
 def _as_rate_matrix(rates: Sequence | np.ndarray) -> np.ndarray:
@@ -121,10 +126,6 @@ class ChainSpec:
     def embedded_weights(self) -> np.ndarray:
         """M_j = m_j * lambda(j), invariant for the embedded jump chain."""
         return self.m * self.holding
-
-    def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        """(L f)(j) = sum_k r(j,k) (f(k) - f(j))."""
-        return self.generator @ np.asarray(f, dtype=float)
 
     def fingerprint(self) -> str:
         """Stable hash of (rates, m), used to detect mismatched comparisons."""
@@ -215,6 +216,11 @@ class HarmonicBasis:
     function equal to the indicator of B[i] on B and annihilated by the
     generator off B.  Its entries are the hitting probabilities
     P_j[chain hits B at B[i]], so each row sums to 1.
+
+    ``matrix.T`` is the projection Upsilon_B of the full simplex onto
+    the B-simplex, with entry (k, j) = u_k(j): it maps points of the
+    simplex to points of the B-simplex and restricts to the identity on
+    points supported in B.
     """
 
     B: tuple[int, ...]
@@ -222,10 +228,6 @@ class HarmonicBasis:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    def column(self, k: int) -> np.ndarray:
-        """u_k as a length-L vector, for k a member of B."""
-        return self.matrix[:, self.B.index(k)]
 
 
 def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> HarmonicBasis:
@@ -261,7 +263,6 @@ class TraceChainSpec:
     the symmetrized Dirichlet matrix of (r^B, m_B).
     """
 
-    parent: ChainSpec
     B: tuple[int, ...]
     rates: np.ndarray
     m_B: np.ndarray
@@ -271,10 +272,6 @@ class TraceChainSpec:
     def __post_init__(self):
         for arr in (self.rates, self.m_B, self.drift_vectors, self.dirichlet):
             arr.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.B)
 
     @property
     def holding(self) -> np.ndarray:
@@ -315,40 +312,12 @@ def trace_rates(chain: ChainSpec, B: Iterable[int]) -> TraceChainSpec:
     gen_b = rb - np.diag(rb.sum(axis=1))
     m_b = chain.m[list(b)].copy()
     return TraceChainSpec(
-        parent=chain,
         B=b,
         rates=rb,
         m_B=m_b,
         drift_vectors=gen_b.copy(),
         dirichlet=_dirichlet_of(rb, m_b),
     )
-
-
-@dataclass(frozen=True)
-class UpsilonMap:
-    """Linear projection of the full simplex onto the B-simplex.
-
-    ``matrix`` has shape (|B|, L) with entry (k, j) = u_k(j); applying
-    it to a point of the simplex gives a point of the B-simplex, and it
-    restricts to the identity on points supported in B.
-    """
-
-    B: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
-
-def upsilon_map(chain: ChainSpec, B: Iterable[int]) -> UpsilonMap:
-    b = _normalize_subset(chain.size, B)
-    if len(b) < 2:
-        raise SubsetTooSmallError(f"projection needs at least two sites, got {b}")
-    basis = harmonic_extensions(chain, b)
-    return UpsilonMap(B=b, matrix=basis.matrix.T.copy())
 
 
 def superharmonic_radius(chain: ChainSpec, B: Iterable[int], b: float, p: float) -> float:
@@ -389,3 +358,47 @@ def hitting_diagonal_min(chain: ChainSpec, B: Iterable[int]) -> float:
     """
     b = _normalize_subset(chain.size, B)
     return float(chain.embedded_weights[list(b)].min())
+
+
+def chain_identity_residuals(chain: ChainSpec) -> list[tuple[str, str, float, float]]:
+    """Residuals of the exact chain identities, as (name, detail, value,
+    tol) rows.
+
+    Covers the invariance of m, the row sums and semidefiniteness of
+    the Dirichlet matrix and, aggregated by their maximum over every
+    subset B with at least two sites: the trace drift against the
+    generator applied to the harmonic basis, the projection
+    Upsilon_B = basis.matrix.T sending v_j to v^B_j for j in B and to 0
+    off B, the invariance of m restricted to B for the trace chain, and
+    the partition of unity of the basis.
+    """
+    size = chain.size
+    gen = chain.generator
+    a_s = dirichlet_matrix(chain)
+    rows = [
+        ("invariance", "m^T G residual", float(np.abs(chain.m @ gen).max()), IDENTITY_TOL),
+        ("dirichlet_row_sums", "max |row sum|", float(np.abs(a_s.sum(axis=1)).max()), IDENTITY_TOL),
+        ("dirichlet_psd", "-(min eigenvalue)", float(-np.linalg.eigvalsh(a_s).min()), IDENTITY_TOL),
+    ]
+    eq10 = uvuv = kills = minv = unity = 0.0
+    for nb in range(2, size + 1):
+        for subset in combinations(range(size), nb):
+            basis = harmonic_extensions(chain, subset)
+            trace = trace_rates(chain, subset)
+            # C-ordered: the product with the strided view basis.matrix.T
+            # rounds differently in the last bits.
+            ups = np.ascontiguousarray(basis.matrix.T)
+            lu = gen @ basis.matrix  # (L, |B|): column k is L u_k
+            eq10 = max(eq10, float(np.abs(trace.drift_vectors - lu[list(subset), :]).max()))
+            for ji, j in enumerate(subset):
+                uvuv = max(uvuv, float(np.abs(ups @ gen[j] - trace.drift_vectors[ji]).max()))
+            for j in subset_complement(size, subset):
+                kills = max(kills, float(np.abs(ups @ gen[j]).max()))
+            minv = max(minv, float(np.abs(trace.m_B @ trace.generator).max()))
+            unity = max(unity, float(np.abs(basis.matrix.sum(axis=1) - 1.0).max()))
+    rows.append(("trace_drift_vs_harmonic", "max residual", eq10, IDENTITY_TOL))
+    rows.append(("projection_intertwines", "max residual", uvuv, IDENTITY_TOL))
+    rows.append(("projection_kills_complement", "max residual", kills, IDENTITY_TOL))
+    rows.append(("restricted_measure_invariant", "max residual", minv, IDENTITY_TOL))
+    rows.append(("partition_of_unity", "max residual", unity, UNITY_TOL))
+    return rows

@@ -2,11 +2,12 @@
 psi4-check.
 
 Every run reads one YAML config, writes CSV tables plus a JSON
-manifest into the output directory, and exits with 0 (success),
-1 (an assertion-class check failed), 2 (config error) or 3 (runtime
-error).  The environment variable CONDENSIM_SEED overrides the config
-seed; the override is recorded in the manifest.  Sites are reported
-1-based and subsets as bitmasks (bit j-1 <-> site j).
+manifest ``run_manifest_<subcommand>.json`` into the output directory,
+and exits with 0 (success), 1 (an assertion-class check failed),
+2 (config error) or 3 (runtime error).  The environment variable
+CONDENSIM_SEED overrides the config seed; the override is recorded in
+the manifest.  Sites are reported 1-based and subsets as bitmasks
+(bit j-1 <-> site j).
 """
 
 from __future__ import annotations
@@ -14,22 +15,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import chain as chain_mod
 from .chain import (
-    IDENTITY_TOL,
+    chain_identity_residuals,
     dirichlet_matrix,
     harmonic_extensions,
     superharmonic_radius,
     trace_rates,
-    upsilon_map,
 )
 from .config import RunConfig, __version__, config_hash, parse_config
-from .diffusion import DiffusionConfig, simulate_diffusion_ensemble
+from .diffusion import DiffusionConfig, DiffusionEnsemble, simulate_diffusion_ensemble
 from .errors import (
     CondensimError,
     ConfigRangeError,
@@ -45,7 +43,6 @@ from .experiments import (
 from .reporting import ManifestTimer, fmt, mask_of, write_csv
 from .zrp import ZrpConfig, simulate_zrp_ensemble
 
-UNITY_TOL = 1e-12
 SIGN_TOL = 1e-12
 
 
@@ -69,6 +66,12 @@ def _x0(config: RunConfig, size: int) -> np.ndarray:
     return np.full(size, 1.0 / size)
 
 
+def _eta0(config: RunConfig, size: int, n: int) -> np.ndarray:
+    if config.experiment.eta0 is not None:
+        return np.asarray(config.experiment.eta0, dtype=np.int64)
+    return default_eta0(size, n)
+
+
 def _sign_subset(config: RunConfig, size: int) -> tuple[int, ...]:
     """Configured subset for the sign check; the first L-1 sites when it
     is the full set, since the check needs a nonempty complement."""
@@ -80,7 +83,9 @@ def _site_cols(size: int) -> list[str]:
     return [f"x_{j + 1}" for j in range(size)]
 
 
-def _diffusion_config(config: RunConfig, seed: int) -> DiffusionConfig:
+def _diffusion_config(
+    config: RunConfig, seed: int, sample_times: tuple[float, ...]
+) -> DiffusionConfig:
     d = config.diffusion
     return DiffusionConfig(
         chain=config.build_chain(),
@@ -92,10 +97,20 @@ def _diffusion_config(config: RunConfig, seed: int) -> DiffusionConfig:
         dt_rule=d.dt_rule,
         horizon=d.horizon,
         t_max=d.t_max,
-        sample_times=tuple(config.experiment.sample_times),
+        sample_times=sample_times,
         cond_delta=config.experiment.delta,
         allow_small_b=config.model.allow_small_b,
     )
+
+
+def _unsampled_diffusion(
+    config: RunConfig, seed: int
+) -> tuple[np.ndarray, DiffusionEnsemble]:
+    """Start point and diffusion paths without a sample grid, for the
+    subcommands that read only absorption and trapping times."""
+    dc = _diffusion_config(config, seed, ())
+    x0 = _x0(config, dc.chain.size)
+    return x0, simulate_diffusion_ensemble(dc, x0, config.experiment.paths)
 
 
 def _zrp_config(config: RunConfig, n: int, seed: int) -> ZrpConfig:
@@ -132,10 +147,9 @@ def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> 
         for ji, j in enumerate(subset):
             for ki, k in enumerate(subset):
                 rows.append(("r_B", j + 1, k + 1, trace.rates[ji, ki]))
-        ups = upsilon_map(chain, subset)
         for ki, k in enumerate(subset):
             for j in range(size):
-                rows.append(("upsilon", k + 1, j + 1, ups.matrix[ki, j]))
+                rows.append(("upsilon", k + 1, j + 1, basis.matrix[j, ki]))
         if len(subset) < size:
             p = config.effective_p()
             rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))
@@ -149,12 +163,7 @@ def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
     size = config.build_chain().size
     for n in config.model.N:
         zc = _zrp_config(config, n, manifest.seed)
-        eta0 = (
-            np.asarray(exp.eta0, dtype=np.int64)
-            if exp.eta0 is not None
-            else default_eta0(size, n)
-        )
-        ens = simulate_zrp_ensemble(zc, eta0, exp.paths)
+        ens = simulate_zrp_ensemble(zc, _eta0(config, size, n), exp.paths)
         if ens.samples is not None:
             rows = []
             for i in range(exp.paths):
@@ -187,7 +196,7 @@ def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
 
 def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     exp = config.experiment
-    dc = _diffusion_config(config, manifest.seed)
+    dc = _diffusion_config(config, manifest.seed, tuple(exp.sample_times))
     x0 = _x0(config, dc.chain.size)
     ens = simulate_diffusion_ensemble(dc, x0, exp.paths)
     size = dc.chain.size
@@ -206,23 +215,15 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
         )
     abs_rows = []
     for i in range(exp.paths):
-        trace = ens.trace(i)
-        vertex = trace.trapped_vertex
-        if not trace.events and vertex is not None:
+        events = ens.events[i]
+        vertex = int(ens.trapped_vertex[i])
+        if not events and vertex >= 0:
             # Started at a vertex: a single synthetic row records it.
-            abs_rows.append((i, 0, 0.0, mask_of((vertex,)), vertex + 1))
+            abs_rows.append((i, 0, 0.0, 1 << vertex, vertex + 1))
             continue
-        for n_ev, (t_ev, b_ev) in enumerate(trace.events, start=1):
-            is_last = n_ev == len(trace.events)
-            abs_rows.append(
-                (
-                    i,
-                    n_ev,
-                    t_ev,
-                    mask_of(b_ev),
-                    vertex + 1 if (is_last and vertex is not None) else None,
-                )
-            )
+        for n_ev, (t_ev, mask) in enumerate(events, start=1):
+            label = vertex + 1 if n_ev == len(events) and vertex >= 0 else None
+            abs_rows.append((i, n_ev, t_ev, mask, label))
     write_csv(
         outdir / "diff_absorption.csv",
         ["path_id", "n", "sigma_n", "B_n", "trapped_vertex"],
@@ -236,21 +237,14 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
 def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     exp = config.experiment
     chain = config.build_chain()
-    dc = replace(_diffusion_config(config, manifest.seed), sample_times=())
-    x0 = _x0(config, chain.size)
-    dens = simulate_diffusion_ensemble(dc, x0, exp.paths)
+    _, dens = _unsampled_diffusion(config, manifest.seed)
     hist_d = winner_distribution(
         dens.trapped_vertex, chain.size, engine="diffusion", chain_id=chain.fingerprint()
     )
     rows = []
     for n in config.model.N:
         zc = _zrp_config(config, n, manifest.seed)
-        eta0 = (
-            np.asarray(exp.eta0, dtype=np.int64)
-            if exp.eta0 is not None
-            else default_eta0(chain.size, n)
-        )
-        zens = simulate_zrp_ensemble(zc, eta0, exp.paths)
+        zens = simulate_zrp_ensemble(zc, _eta0(config, chain.size, n), exp.paths)
         hist_z = winner_distribution(
             zens.winner, chain.size, engine="zrp", chain_id=chain.fingerprint()
         )
@@ -275,57 +269,10 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
     return 0
 
 
-def _identity_rows(chain) -> list[tuple]:
-    """Aggregate residuals of the exact chain identities over all
-    subsets with at least two sites."""
-    from itertools import combinations
-
-    size = chain.size
-    a_s = dirichlet_matrix(chain)
-    rows = []
-    rows.append(
-        ("invariance", "m^T G residual", float(np.abs(chain.m @ chain.generator).max()), IDENTITY_TOL)
-    )
-    rows.append(
-        ("dirichlet_row_sums", "max |row sum|", float(np.abs(a_s.sum(axis=1)).max()), IDENTITY_TOL)
-    )
-    rows.append(
-        (
-            "dirichlet_psd",
-            "-(min eigenvalue)",
-            float(-np.linalg.eigvalsh(a_s).min()),
-            IDENTITY_TOL,
-        )
-    )
-    eq10 = uvuv = kills = minv = unity = 0.0
-    for nb in range(2, size + 1):
-        for subset in combinations(range(size), nb):
-            basis = harmonic_extensions(chain, subset)
-            trace = trace_rates(chain, subset)
-            ups = upsilon_map(chain, subset)
-            lu = chain.generator @ basis.matrix  # (L, |B|): column k is L u_k
-            eq10 = max(eq10, float(np.abs(trace.drift_vectors - lu[list(subset), :]).max()))
-            for ji, j in enumerate(subset):
-                uvuv = max(
-                    uvuv,
-                    float(np.abs(ups(chain.generator[j]) - trace.drift_vectors[ji]).max()),
-                )
-            for j in chain_mod.subset_complement(size, subset):
-                kills = max(kills, float(np.abs(ups(chain.generator[j])).max()))
-            minv = max(minv, float(np.abs(trace.m_B @ trace.generator).max()))
-            unity = max(unity, float(np.abs(basis.matrix.sum(axis=1) - 1.0).max()))
-    rows.append(("trace_drift_vs_harmonic", "max residual", eq10, IDENTITY_TOL))
-    rows.append(("projection_intertwines", "max residual", uvuv, IDENTITY_TOL))
-    rows.append(("projection_kills_complement", "max residual", kills, IDENTITY_TOL))
-    rows.append(("restricted_measure_invariant", "max residual", minv, IDENTITY_TOL))
-    rows.append(("partition_of_unity", "max residual", unity, UNITY_TOL))
-    return rows
-
-
 def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
     report: list[tuple] = []
-    for name, detail, value, tol in _identity_rows(chain):
+    for name, detail, value, tol in chain_identity_residuals(chain):
         passed = manifest.record(name, value <= tol)
         report.append((name, detail, value, tol, passed))
 
@@ -340,9 +287,7 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
             ("superharmonic_sign", f"B mask {mask_of(sign_subset)}", psi.max_value, SIGN_TOL, passed)
         )
 
-    dc = replace(_diffusion_config(config, manifest.seed), sample_times=())
-    x0 = _x0(config, chain.size)
-    dens = simulate_diffusion_ensemble(dc, x0, config.experiment.paths)
+    x0, dens = _unsampled_diffusion(config, manifest.seed)
     check = hitting_bound_check(
         chain,
         tuple(int(j) for j in np.nonzero(x0 > 0)[0]),
@@ -437,6 +382,7 @@ def main(argv=None) -> int:
     manifest = ManifestTimer(args.subcommand, config_hash(config), seed, seed_source)
     outdir = Path(args.out) if args.out else Path(config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outdir / f"run_manifest_{args.subcommand}.json"
 
     try:
         code = COMMANDS[args.subcommand](config, outdir, manifest)
@@ -446,12 +392,12 @@ def main(argv=None) -> int:
     except CondensimError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         manifest.record("completed", False)
-        manifest.write(outdir / "run_manifest.json", __version__)
+        manifest.write(manifest_path, __version__)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    manifest.write(outdir / "run_manifest.json", __version__)
+    manifest.write(manifest_path, __version__)
     return code
 
 

@@ -24,7 +24,7 @@ Schema (defaults in parentheses):
     subset (null = all sites), x0 (null = barycenter),
     eta0 (null = balanced), horizon (null = stop at condensation)
   output:
-    directory ("out"), format ("csv")
+    directory ("out")
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class ExperimentBlock:
 @dataclass
 class OutputBlock:
     directory: str = "out"
-    format: str = "csv"
 
 
 @dataclass
@@ -146,6 +145,24 @@ _SCALARS = {
     ("experiment", "grid"): int,
 }
 
+_LISTS = {
+    ("experiment", "sample_times"): float,
+    ("experiment", "x0"): float,
+    ("experiment", "eta0"): int,
+    ("experiment", "subset"): int,
+}
+
+
+def _number(path: str, value, target: type):
+    """``value`` as a finite ``target`` (float or int); bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigSchemaError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigRangeError(f"{path} = {value} must be finite")
+    if target is int and int(value) != value:
+        raise ConfigSchemaError(path, "expected an integer")
+    return target(value)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config document.
@@ -184,15 +201,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigSchemaError(f"{name}.{sorted(bad)[0]}", "unknown key")
         kwargs = {}
         for key, value in section.items():
-            target = _SCALARS.get((name, key))
-            if target is not None and value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigSchemaError(f"{name}.{key}", f"expected a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ConfigRangeError(f"{name}.{key} = {value} must be finite")
-                if target is int and int(value) != value:
-                    raise ConfigSchemaError(f"{name}.{key}", "expected an integer")
-                value = target(value)
+            path = f"{name}.{key}"
+            if value is not None and (name, key) in _SCALARS:
+                value = _number(path, value, _SCALARS[name, key])
+            elif value is not None and (name, key) in _LISTS:
+                if not isinstance(value, list):
+                    raise ConfigSchemaError(path, f"expected a list, got {value!r}")
+                target = _LISTS[name, key]
+                value = [_number(f"{path}[{i}]", v, target) for i, v in enumerate(value)]
             kwargs[key] = value
         blocks[name] = cls(**kwargs)
 
@@ -231,20 +247,12 @@ def _validate_ranges(config: RunConfig) -> None:
         raise ConfigRangeError("experiment.grid must be at least 2")
     if exp.seed < 0 or exp.seed >= 2**64:
         raise ConfigRangeError("experiment.seed must fit in 64 unsigned bits")
-    if config.output.format != "csv":
-        raise ConfigSchemaError("output.format", "only 'csv' is supported")
     q, p, b = config.effective_q(), config.effective_p(), model.b
     if model.b > 1.0:
         if not q > b:
             raise ConfigRangeError(f"experiment.q = {q} must exceed b = {b}")
         if not 1.0 < p < b:
             raise ConfigRangeError(f"experiment.p = {p} must satisfy 1 < p < b")
-
-
-def emit_config(config: RunConfig) -> str:
-    """Serialize a RunConfig; parse(emit(c)) == c."""
-    payload = asdict(config)
-    return yaml.safe_dump(payload, sort_keys=True, default_flow_style=None)
 
 
 def config_hash(config: RunConfig) -> str:

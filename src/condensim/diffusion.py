@@ -19,6 +19,7 @@ counter-based stream, so trajectories are reproducible per
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .chain import ChainSpec, trace_rates
 from .errors import (
+    ConfigRangeError,
     NonSimplexStartError,
     StepBlowupError,
     ZeroCoordinateError,
@@ -66,20 +68,24 @@ class DiffusionConfig:
 
     def __post_init__(self):
         if not self.dt_base > 0:
-            raise ValueError("dt_base must be positive")
+            raise ConfigRangeError("dt_base must be positive")
         if not 0 < self.eps_abs < 0.1:
-            raise ValueError("eps_abs must be a small positive threshold")
+            raise ConfigRangeError("eps_abs must be a small positive threshold")
         if not 0.0 <= self.noise_scale <= 1.0:
-            raise ValueError("noise_scale must be in [0, 1]")
+            raise ConfigRangeError("noise_scale must be in [0, 1]")
         if self.dt_rule not in ("clamped", "quadratic"):
-            raise ValueError(f"unknown dt rule {self.dt_rule!r}")
+            raise ConfigRangeError(f"unknown dt rule {self.dt_rule!r}")
+        if not (self.horizon is None or math.isfinite(self.horizon)):
+            raise ConfigRangeError(f"horizon = {self.horizon} must be finite")
+        if not math.isfinite(self.t_max):
+            raise ConfigRangeError(f"t_max = {self.t_max} must be finite")
         st = np.asarray(self.sample_times, dtype=float)
         if not np.all(np.diff(st) > 0):
-            raise ValueError("sample_times must be strictly increasing")
+            raise ConfigRangeError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", tuple(st.tolist()))
         if not self.b > 1.0:
             if not self.allow_small_b:
-                raise ValueError(
+                raise ConfigRangeError(
                     "b <= 1 gives a diffusion that is not expected to be "
                     "absorbed; pass allow_small_b=True to experiment anyway"
                 )
@@ -88,35 +94,6 @@ class DiffusionConfig:
     @property
     def eps_guard(self) -> float:
         return 10.0 * self.eps_abs
-
-    def digest(self) -> str:
-        """Stable hash of the physics and integrator parameters."""
-        import hashlib
-
-        payload = (
-            self.chain.fingerprint(), self.b, self.seed, self.dt_base,
-            self.eps_abs, self.noise_scale, self.dt_rule, self.horizon,
-            self.t_max, self.sample_times, self.cond_delta,
-        )
-        return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class AbsorptionTrace:
-    """Realized absorption record of one path.
-
-    ``events[n]`` is (sigma_{n+1}, surviving set after the event); the
-    recorded sets decrease strictly.  ``trapped_vertex`` is None for
-    paths that did not reach a vertex before their time cap.
-    """
-
-    events: tuple[tuple[float, tuple[int, ...]], ...]
-    trapped_vertex: int | None
-    trapped_time: float | None
-
-    @property
-    def sigma1(self) -> float | None:
-        return self.events[0][0] if self.events else None
 
 
 class FaceTable:
@@ -128,7 +105,7 @@ class FaceTable:
 
     def __init__(self, chain: ChainSpec):
         if chain.size > 12:
-            raise ValueError("ensemble engine precomputes 2^L faces; L > 12 unsupported")
+            raise ConfigRangeError("ensemble engine precomputes 2^L faces; L > 12 unsupported")
         size = chain.size
         n_masks = 1 << size
         self.drift_v = np.zeros((n_masks, size, size))
@@ -223,16 +200,7 @@ class DiffusionEnsemble:
     trapped_vertex: np.ndarray  # site index, -1 if not trapped
     trapped_time: np.ndarray  # nan if not trapped
     t_cond: np.ndarray  # first time max coordinate >= 1 - cond_delta
-    events: list  # per path: list of (time, surviving bitmask)
-
-    def trace(self, i: int) -> AbsorptionTrace:
-        evs = tuple(
-            (t, tuple(j for j in range(self.config.chain.size) if mask >> j & 1))
-            for t, mask in self.events[i]
-        )
-        vertex = int(self.trapped_vertex[i]) if self.trapped_vertex[i] >= 0 else None
-        time = float(self.trapped_time[i]) if vertex is not None else None
-        return AbsorptionTrace(events=evs, trapped_vertex=vertex, trapped_time=time)
+    events: list  # per path: (time, surviving bitmask) per absorption, faces shrinking
 
 
 def simulate_diffusion_ensemble(

@@ -84,4 +84,4 @@ class ConfigSchemaError(CondensimError):
 
 
 class ConfigRangeError(CondensimError):
-    """A config value is out of its allowed range."""
+    """A config value or engine parameter is out of its allowed range."""

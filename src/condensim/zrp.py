@@ -15,13 +15,14 @@ results are independent of batching and bit-reproducible per
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import BadInitialError, NotLatticeError
+from .errors import BadInitialError, ConfigRangeError, NotLatticeError
 from .rng import PathStreams, derive_seed
 
 G_FAMILIES = ("default", "corrected")
@@ -63,7 +64,7 @@ def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: 
         [jump_rate_g(j, n, chain.m, b, family, correction) for j in range(chain.size)]
     )
     if not np.all(table >= 0):
-        raise ValueError(
+        raise ConfigRangeError(
             f"jump-rate family {family!r} with b={b} produces negative or NaN rates"
         )
     return table
@@ -91,32 +92,25 @@ class ZrpConfig:
 
     def __post_init__(self):
         if not self.n_particles >= 1:
-            raise ValueError("need at least one particle")
+            raise ConfigRangeError("need at least one particle")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("condensation threshold delta must be in (0, 1)")
+            raise ConfigRangeError("condensation threshold delta must be in (0, 1)")
+        if not (self.horizon is None or math.isfinite(self.horizon)):
+            raise ConfigRangeError(f"horizon = {self.horizon} must be finite")
+        if not math.isfinite(self.t_max):
+            raise ConfigRangeError(f"t_max = {self.t_max} must be finite")
         st = np.asarray(self.sample_times, dtype=float)
         if not np.all(np.diff(st) > 0):
-            raise ValueError("sample_times must be strictly increasing")
+            raise ConfigRangeError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", tuple(st.tolist()))
         if self.g_family not in G_FAMILIES:
-            raise ValueError(f"unknown g family {self.g_family!r}")
+            raise ConfigRangeError(f"unknown g family {self.g_family!r}")
         if self.b <= 1.0:
             warnings.warn(
                 "b <= 1: no absorption in the scaling limit; "
                 "tightness still holds, proceed at your own risk",
                 stacklevel=2,
             )
-
-    def digest(self) -> str:
-        """Stable hash of the physics and sampling parameters."""
-        import hashlib
-
-        payload = (
-            self.chain.fingerprint(), self.n_particles, self.b, self.seed,
-            self.g_family, self.g_correction, self.sample_times,
-            self.horizon, self.delta, self.t_max,
-        )
-        return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
 @dataclass

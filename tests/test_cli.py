@@ -61,10 +61,20 @@ class TestChainInfo:
     def test_manifest_written(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["chain-info", str(cfg)]) == 0
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = json.loads((out / "run_manifest_chain-info.json").read_text())
         assert manifest["subcommand"] == "chain-info"
         assert manifest["seed"] == 42
         assert manifest["seed_source"] == "config"
+
+    def test_each_subcommand_keeps_its_manifest(self, tmp_path):
+        cfg, out = write_config(tmp_path, paths=20)
+        assert main(["chain-info", str(cfg)]) == 0
+        assert main(["verify", str(cfg)]) == 0
+        names = sorted(p.name for p in out.glob("run_manifest*.json"))
+        assert names == ["run_manifest_chain-info.json", "run_manifest_verify.json"]
+        for sub in ("chain-info", "verify"):
+            manifest = json.loads((out / f"run_manifest_{sub}.json").read_text())
+            assert manifest["subcommand"] == sub
 
 
 class TestZrpRun:
@@ -150,7 +160,7 @@ class TestVerify:
         assert all(r[-1] == "true" for r in rows)
         assert float(checks["trace_drift_vs_harmonic"][2]) <= 1e-10
         assert float(checks["partition_of_unity"][2]) <= 1e-12
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = json.loads((out / "run_manifest_verify.json").read_text())
         assert all(manifest["checks"].values())
 
     def test_exit_codes_for_bad_configs(self, tmp_path):
@@ -162,18 +172,26 @@ class TestVerify:
         # Non-finite numbers are range errors: a NaN step size would
         # never advance the diffusion, a NaN horizon never retires a
         # ZRP path, and NaN jump rates corrupt the event selection.
+        # Values the engines reject are range errors too, and so are
+        # list entries that are not numbers of the right kind.
         base = write_config(tmp_path, paths=5)[0].read_text()
-        nonfinite = {
-            "diff-run": base + "diffusion:\n  dt_base: .nan\n",
-            "zrp-run": base.replace(
-                "b: 1.5", "b: 1.5\n  g_family: corrected\n  g_correction: .nan"
-            ).replace("delta: 0.05", "delta: 0.05\n  horizon: 0.1"),
-            "compare": base.replace("delta: 0.05", "delta: 0.05\n  horizon: .nan"),
+        corrected = "b: 1.5\n  g_family: corrected\n  g_correction: "
+        exp = "delta: 0.05\n  "
+        cases = {
+            "nan-dt": ("diff-run", base + "diffusion:\n  dt_base: .nan\n"),
+            "nan-rate": ("zrp-run", base.replace("b: 1.5", corrected + ".nan").replace(
+                "delta: 0.05", exp + "horizon: 0.1"
+            )),
+            "nan-horizon": ("compare", base.replace("delta: 0.05", exp + "horizon: .nan")),
+            "decreasing-times": ("zrp-run", base.replace("times: []", "times: [0.1, 0.05]")),
+            "negative-rate": ("zrp-run", base.replace("b: 1.5", corrected + "-10.0")),
+            "nan-eta0": ("zrp-run", base.replace("delta: 0.05", exp + "eta0: [4, 4, .nan]")),
+            "fractional-subset": ("chain-info", base.replace("subset: [1, 2]", "subset: [1.5, 2]")),
         }
-        for sub, doc in nonfinite.items():
-            cfg = tmp_path / f"nonfinite-{sub}.yaml"
+        for name, (sub, doc) in cases.items():
+            cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(doc)
-            assert main([sub, str(cfg)]) == 2, sub
+            assert main([sub, str(cfg)]) == 2, name
 
 
 class TestExitCodes:
@@ -190,7 +208,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "superharmonic_sign_check", fake_sign_check)
         cfg, out = write_config(tmp_path, paths=50)
         assert main(["verify", str(cfg)]) == 1
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = json.loads((out / "run_manifest_verify.json").read_text())
         assert manifest["checks"]["superharmonic_sign"] is False
 
     def test_runtime_error_exits_three(self, tmp_path, monkeypatch):
@@ -204,7 +222,7 @@ class TestExitCodes:
         cfg, out = write_config(tmp_path, paths=5)
         assert main(["diff-run", str(cfg)]) == 3
         # The manifest is still written for failed runs.
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = json.loads((out / "run_manifest_diff-run.json").read_text())
         assert manifest["checks"]["completed"] is False
 
 
@@ -227,7 +245,7 @@ class TestSeedOverride:
         cfg, out = write_config(tmp_path, paths=5)
         monkeypatch.setenv("CONDENSIM_SEED", "777")
         assert main(["diff-run", str(cfg)]) == 0
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = json.loads((out / "run_manifest_diff-run.json").read_text())
         assert manifest["seed"] == 777
         assert manifest["seed_source"] == "env"
 

@@ -1,6 +1,6 @@
 import pytest
 
-from condensim.config import config_hash, emit_config, parse_config
+from condensim.config import config_hash, parse_config
 from condensim.errors import ConfigRangeError, ConfigSchemaError
 
 MINIMAL = """
@@ -65,24 +65,27 @@ class TestParse:
             parse_config(MINIMAL + "experiment:\n  seed: 1\n  q: 1.0\n")
 
 
-class TestRoundTrip:
-    def test_parse_emit_parse(self):
-        cfg = parse_config(MINIMAL)
-        assert parse_config(emit_config(cfg)) == cfg
-
-    def test_round_trip_preserves_explicit_values(self):
+    def test_list_entries_checked_per_element(self):
         doc = MINIMAL + (
-            "model:\n  b: 2.25\n  N: [10, 20]\n"
-            "diffusion:\n  dt_base: 0.0005\n  eps_abs: 1.0e-05\n"
-            "experiment:\n  seed: 7\n  paths: 123\n  sample_times: [0.0, 0.125, 0.25]\n"
+            "experiment:\n  seed: 7\n  sample_times: [0.0, 0.125, 0.25]\n"
+            "  x0: [1, 0, 0]\n  eta0: [4, 3, 3]\n  subset: [1, 2]\n"
         )
-        cfg = parse_config(doc)
-        again = parse_config(emit_config(cfg))
-        assert again == cfg
-        assert again.experiment.sample_times == [0.0, 0.125, 0.25]
+        exp = parse_config(doc).experiment
+        assert exp.sample_times == [0.0, 0.125, 0.25]
+        assert exp.x0 == [1.0, 0.0, 0.0] and all(type(v) is float for v in exp.x0)
+        assert exp.eta0 == [4, 3, 3] and exp.subset == [1, 2]
+        with pytest.raises(ConfigRangeError) as err:
+            parse_config(doc.replace("[4, 3, 3]", "[4, 3, .nan]"))
+        assert "experiment.eta0[2]" in str(err.value)
+        for bad in ("subset: [1.5, 2]", "subset: [true, 2]", "subset: 2"):
+            with pytest.raises(ConfigSchemaError) as err:
+                parse_config(doc.replace("subset: [1, 2]", bad))
+            assert "experiment.subset" in str(err.value)
 
+
+class TestRoundTrip:
     def test_hash_stable_and_sensitive(self):
         cfg = parse_config(MINIMAL)
-        assert config_hash(cfg) == config_hash(parse_config(emit_config(cfg)))
+        assert config_hash(cfg) == config_hash(parse_config(MINIMAL))
         other = parse_config(MINIMAL.replace("seed: 42", "seed: 43"))
         assert config_hash(cfg) != config_hash(other)

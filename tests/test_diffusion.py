@@ -18,6 +18,7 @@ from condensim.diffusion import (
     simulate_diffusion_ensemble,
 )
 from condensim.errors import (
+    ConfigRangeError,
     NonSimplexStartError,
     StepBlowupError,
     ZeroCoordinateError,
@@ -187,10 +188,10 @@ class TestEmStep:
 class TestSimulate:
     def test_vertex_start_trapped_immediately(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
-        trace = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1).trace(0)
-        assert trace.trapped_vertex == 0
-        assert trace.trapped_time == 0.0
-        assert trace.events == ()
+        ens = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1)
+        assert ens.trapped_vertex[0] == 0
+        assert ens.trapped_time[0] == 0.0
+        assert ens.events[0] == []
 
     def test_non_simplex_start_rejected(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
@@ -219,21 +220,20 @@ class TestSimulate:
         # Reference agrees with the closed-form blow-down integral.
         assert t_ref == pytest.approx(TWO_SITE_BLOWDOWN, abs=1e-6)
 
-        trace = simulate_diffusion_ensemble(config, [0.25, 0.75], 1).trace(0)
-        assert trace.trapped_vertex == 1
-        assert trace.sigma1 == pytest.approx(t_ref, abs=1e-3)
+        ens = simulate_diffusion_ensemble(config, [0.25, 0.75], 1)
+        assert ens.trapped_vertex[0] == 1
+        assert ens.sigma1[0] == pytest.approx(t_ref, abs=1e-3)
 
     def test_absorption_structure(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=17)
         ens = simulate_diffusion_ensemble(config, np.full(3, 1 / 3), n_paths=50)
         assert np.all(ens.trapped_vertex >= 0)
         for i in range(50):
-            trace = ens.trace(i)
-            sets = [set(range(3))] + [set(b) for _, b in trace.events]
-            for prev, cur in zip(sets, sets[1:]):
-                assert cur < prev
-            assert trace.events[-1][1] == (trace.trapped_vertex,)
-            times = [t for t, _ in trace.events]
+            masks = [0b111] + [mask for _, mask in ens.events[i]]
+            for prev, cur in zip(masks, masks[1:]):
+                assert cur & prev == cur != prev
+            assert ens.events[i][-1][1] == 1 << ens.trapped_vertex[i]
+            times = [t for t, _ in ens.events[i]]
             assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_zeros_stay_zero_in_samples(self):
@@ -308,7 +308,7 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
 
     def test_small_b_requires_override(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigRangeError):
             DiffusionConfig(chain=k3(), b=0.8, seed=1)
         with pytest.warns(UserWarning):
             DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.1)
@@ -321,8 +321,8 @@ class TestSchemeAccuracy:
             config = DiffusionConfig(
                 chain=two_site, b=1.5, seed=0, noise_scale=0.0, dt_base=dt
             )
-            trace = simulate_diffusion_ensemble(config, [0.25, 0.75], 1).trace(0)
-            errors.append(abs(trace.sigma1 - TWO_SITE_BLOWDOWN))
+            ens = simulate_diffusion_ensemble(config, [0.25, 0.75], 1)
+            errors.append(abs(ens.sigma1[0] - TWO_SITE_BLOWDOWN))
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
         # Halving dt roughly halves the error.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from condensim.chain import validate_chain
-from condensim.errors import BadInitialError, NotLatticeError
+from condensim.diffusion import DiffusionConfig
+from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
 from condensim.zrp import (
     ZrpConfig,
     jump_rate_g,
@@ -143,3 +144,14 @@ class TestSimulate:
     def test_small_b_warns(self, two_site):
         with pytest.warns(UserWarning, match="b <= 1"):
             ZrpConfig(chain=two_site, n_particles=10, b=0.5, seed=0)
+
+
+def test_non_finite_horizons_rejected(two_site):
+    # A NaN horizon never retires a path: t >= NaN is always false.
+    for make in (
+        lambda **kw: ZrpConfig(chain=two_site, n_particles=10, b=1.5, seed=0, **kw),
+        lambda **kw: DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw),
+    ):
+        for bad in ({"horizon": np.nan}, {"horizon": np.inf}, {"t_max": np.nan}):
+            with pytest.raises(ConfigRangeError):
+                make(**bad)

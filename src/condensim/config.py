@@ -107,10 +107,20 @@ class RunConfig:
         )
 
     def subset_indices(self, size: int) -> tuple[int, ...]:
-        """Configured subset as 0-based indices; all sites when absent."""
+        """Configured subset as 0-based indices; all sites when absent.
+
+        Raises ConfigRangeError for a site outside 1..size or a repeated
+        site.
+        """
         if self.experiment.subset is None:
             return tuple(range(size))
-        return tuple(int(s) - 1 for s in self.experiment.subset)
+        sites = tuple(int(s) - 1 for s in self.experiment.subset)
+        for s in sites:
+            if not 0 <= s < size:
+                raise ConfigRangeError(f"experiment.subset: site {s + 1} is outside 1..{size}")
+        if len(set(sites)) < len(sites):
+            raise ConfigRangeError(f"experiment.subset: {list(self.experiment.subset)} repeats a site")
+        return sites
 
     def build_chain(self) -> ChainSpec:
         try:

@@ -195,11 +195,26 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     winner = np.full(n_paths, -1, dtype=np.int64)
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
 
-    # Active working arrays; ids maps rows to original path indices.
+    # Rate of edge e at source occupancy k is edge_rate[e * (n + 1) + k].
+    edge_rate = (table[src] * r_edge[:, None]).flatten()
+    edge_off = np.arange(src.size) * (n + 1)
+
+    # Live paths are columns: eta[j, c] is the occupancy of site j on the
+    # path with original index ids[c].
     ids = np.arange(n_paths)
-    eta = np.tile(eta0, (n_paths, 1))
+    eta = np.repeat(eta0[:, None], n_paths, axis=1)
     t = np.zeros(n_paths)
     next_samp = np.zeros(n_paths, dtype=np.int64)
+    first_event = np.full(n_paths, np.nan)
+    # Full-width work buffers, viewed at the live width, and few
+    # long-lived 2-D arrays (edge_rate is a flat copy, edge_off is 1-D).
+    # numpy keeps the shape blocks of freed arrays for reuse; one
+    # allocated while the stream buffer lives can stay behind it in the
+    # heap, so that a later ensemble's buffer no longer fits the freed
+    # space and the process peak RSS grows (by 7 MB on configs/asym3.yaml).
+    all_cols = np.arange(n_paths)
+    at_buf = np.empty(src.size * n_paths, dtype=np.int64)
+    rate_buf = np.empty(src.size * n_paths)
     streams = PathStreams(
         derive_seed(config.seed, "zrp"), n_paths, values_per_step=2, block=256
     )
@@ -216,14 +231,21 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
                 np.asarray(config.sample_times), samples, t_cond, winner,
             )
 
-    col_idx = np.arange(size)
-    first_event = np.full(n_paths, np.nan)
     first_pass = True
+    width = -1
     while ids.size:
-        g = table.T[eta, col_idx]  # (M, L)
-        rates = g[:, src] * r_edge  # (M, E)
-        cum = rates.cumsum(axis=1)
-        total = cum[:, -1]  # shared with the selection, so u*total < cum[-1]
+        if ids.size != width:
+            # Work arrays and flat jump indices at the new width.
+            width = ids.size
+            col = all_cols[:width]
+            src_flat, dst_flat = src * width, dst * width
+            at = at_buf[: src.size * width].reshape(src.size, width)
+            rates = rate_buf[: src.size * width].reshape(src.size, width)
+        eta.take(src, axis=0, out=at, mode="clip")
+        at += edge_off[:, None]
+        edge_rate.take(at, out=rates, mode="clip")
+        cum = np.add.accumulate(rates, axis=0, out=rates)
+        total = cum[-1]  # shared with the selection, so u*total < cum[-1]
         u = streams.take(ids)
         tau = -np.log1p(-u[:, 0]) / total
         t_new = t + tau
@@ -242,39 +264,50 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
                 if not pending.any():
                     break
                 pr = np.nonzero(pending)[0]
-                samples[ids[pr], next_samp[pr]] = eta[pr] / n
+                samples[ids[pr], next_samp[pr]] = eta[:, pr].T / n
                 next_samp[pr] += 1
 
-        done = t_new >= end_micro
-        if done.any() and n_samp:
+        # NaN-safe: a NaN clock retires its path instead of running forever.
+        done = ~(t_new < end_micro)
+        any_done = done.any()
+        if any_done and n_samp:
             # Retiring paths hold their pre-jump state up to the horizon.
             for p in np.nonzero(done)[0]:
                 while next_samp[p] < n_samp and sample_micro[next_samp[p]] <= end_micro:
-                    samples[ids[p], next_samp[p]] = eta[p] / n
+                    samples[ids[p], next_samp[p]] = eta[:, p] / n
                     next_samp[p] += 1
 
-        # Apply jumps for surviving paths.
-        lr = np.nonzero(~done)[0]
-        thr = u[lr, 1] * total[lr]
-        edge = (cum[lr] >= thr[:, None]).argmax(axis=1)
-        eta[lr, src[edge]] -= 1
-        eta[lr, dst[edge]] += 1
-        t[lr] = t_new[lr]
+        # Jump on every column; retiring columns are dropped below unread.
+        edge = (cum < u[:, 1] * total).sum(axis=0)
+        flat = eta.reshape(-1)  # a view while eta is C-contiguous
+        flat[src_flat[edge] + col] -= 1
+        to = dst_flat[edge] + col
+        landed = flat[to] + 1
+        flat[to] = landed
+        t = t_new
 
         # Condensation record: first time a site holds >= (1-delta) N.
-        hit = lr[eta[lr].max(axis=1) >= cond_level]
-        hit = hit[np.isnan(t_cond[ids[hit]])]
-        if hit.size:
-            t_cond[ids[hit]] = t_new[hit] / scale
-            winner[ids[hit]] = eta[hit].argmax(axis=1)
-
-        retire = done.copy()
-        if stop_on_condensation:
-            retire |= ~np.isnan(t_cond[ids])
-        if retire.any():
-            keep = ~retire
+        # Before the jump no site of a path without a record is that
+        # full, so only the receiving site can reach the level.
+        hit = landed >= cond_level
+        if any_done:
+            hit &= ~done
+        shrink = any_done
+        if hit.any():
+            rows = np.nonzero(hit)[0]
+            if stop_on_condensation:
+                done |= hit
+                shrink = True
+            else:
+                rows = rows[np.isnan(t_cond[ids[rows]])]
+            t_cond[ids[rows]] = t_new[rows] / scale
+            winner[ids[rows]] = dst[edge[rows]]
+        if shrink:
+            keep = ~done
             ids = ids[keep]
-            eta = eta[keep]
+            # Not eta[:, keep]: that is not C-contiguous, so reshape(-1)
+            # would copy it and the jumps would be lost.
+            eta = eta.compress(keep, axis=1)
             t = t[keep]
             next_samp = next_samp[keep]
 

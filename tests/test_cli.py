@@ -188,6 +188,11 @@ class TestVerify:
             "nan-eta0": ("zrp-run", base.replace("delta: 0.05", exp + "eta0: [4, 4, .nan]")),
             "fractional-subset": ("chain-info", base.replace("subset: [1, 2]", "subset: [1.5, 2]")),
         }
+        # A repeated or out-of-range site is a config error for every
+        # subcommand that reads the subset.
+        for bad in ("[1, 1]", "[0, 2]", "[2, 9]"):
+            for sub in ("chain-info", "psi4-check"):
+                cases[f"subset-{bad}-{sub}"] = (sub, base.replace("subset: [1, 2]", f"subset: {bad}"))
         for name, (sub, doc) in cases.items():
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(doc)

@@ -1,17 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensim.chain import validate_chain
 from condensim.diffusion import DiffusionConfig
 from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
 from condensim.zrp import (
+    G_FAMILIES,
     ZrpConfig,
     jump_rate_g,
     simulate_zrp_ensemble,
     zrp_generator_apply,
 )
 
-from _chains import k3
+from _chains import asym3, k3, random_irreducible_chain
 
 
 @pytest.fixture
@@ -155,3 +160,101 @@ def test_non_finite_horizons_rejected(two_site):
         for bad in ({"horizon": np.nan}, {"horizon": np.inf}, {"t_max": np.nan}):
             with pytest.raises(ConfigRangeError):
                 make(**bad)
+
+
+def _ring8() -> np.ndarray:
+    """The 8-site ring of the benchmark's diffusion workload."""
+    rates = np.zeros((8, 8))
+    for i in range(8):
+        rates[i, (i + 1) % 8] = 1.0 + 0.2 * (i % 5)
+        rates[(i + 1) % 8, i] = 0.5 + 0.1 * (i % 4)
+        if i % 2 == 0:
+            rates[i, (i + 4) % 8] = 0.3 + 0.1 * (i % 3)
+    return rates
+
+
+def _pinned_cases():
+    grid = tuple(np.linspace(0.0, 0.05, 11))
+    yield "k3-condense", ZrpConfig(chain=k3(), n_particles=200, b=1.5, seed=3), [67, 67, 66], 300
+    yield "asym3-corrected", ZrpConfig(
+        chain=asym3(), n_particles=60, b=1.8, seed=4, g_family="corrected",
+        g_correction=0.7, sample_times=grid, horizon=0.05,
+    ), [20, 25, 15], 200
+    yield "ring8-horizon", ZrpConfig(
+        chain=validate_chain(_ring8()), n_particles=40, b=1.5, seed=5,
+        sample_times=grid, horizon=0.04,
+    ), [5] * 8, 100
+    yield "condensed-start", ZrpConfig(
+        chain=k3(), n_particles=30, b=1.5, seed=6, sample_times=grid, horizon=0.05,
+    ), [29, 1, 0], 50
+
+
+def _digest(ens) -> str:
+    h = hashlib.sha256()
+    for a in (ens.t_cond, ens.winner, ens.first_event, ens.samples):
+        h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Taken before the site-major rewrite of the lockstep loop; a change
+# that alters a stream on purpose updates them and says so in CHANGES.md.
+PINNED = {
+    "k3-condense": "b75ec7d90328c7d886cb1dd096a6477d9fd1863459174fccd867540740e801f3",
+    "asym3-corrected": "d9783676feca704562c1ce63a2dde46927d3a29e306847a3fcd1177c89e935fd",
+    "ring8-horizon": "0527b14b2e6447ff2e461041c85164ed5fea926d990d6c4acfb168325b7c009d",
+    "condensed-start": "2751d080500a55a0821681f88f1e04bf6dcc54c4b0dbe936b4e05d9eee89c75c",
+}
+
+
+def test_engine_outputs_pinned():
+    # SHA-256 of t_cond, winner, first_event and samples: every stream,
+    # the event selection, the condensation record and the sampling.
+    got = {
+        name: _digest(simulate_zrp_ensemble(config, eta0, paths))
+        for name, config, eta0, paths in _pinned_cases()
+    }
+    assert got == PINNED
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 6),
+    n=st.integers(1, 40),
+    family=st.sampled_from(G_FAMILIES),
+    n_paths=st.integers(2, 6),
+)
+def test_horizon_runs_are_consistent(seed, size, n, family, n_paths):
+    rng = np.random.default_rng(seed)
+    chain = random_irreducible_chain(rng, size)
+    horizon = float(rng.uniform(0.005, 0.05))
+    config = ZrpConfig(
+        chain=chain, n_particles=n, b=float(rng.uniform(1.1, 3.0)), seed=seed,
+        g_family=family, g_correction=float(rng.uniform(0.0, 2.0)),
+        sample_times=tuple(np.unique(rng.uniform(0.0, horizon, 5))), horizon=horizon,
+        delta=float(rng.uniform(0.05, 0.5)),
+    )
+    eta0 = rng.multinomial(n, np.full(size, 1.0 / size))
+    ens = simulate_zrp_ensemble(config, eta0, n_paths)
+
+    # Every sample lies on the 1/N lattice of the simplex.
+    assert not np.any(np.isnan(ens.samples))
+    assert np.all(ens.samples >= 0)
+    np.testing.assert_allclose(ens.samples.sum(axis=-1), 1.0, atol=1e-12)
+    lattice = ens.samples * n
+    np.testing.assert_allclose(lattice, np.rint(lattice), atol=1e-9)
+
+    # A condensation record lies within the horizon and names a site.
+    cond = ~np.isnan(ens.t_cond)
+    assert np.all(ens.t_cond[cond] <= horizon)
+    assert np.all((ens.winner[cond] >= 0) & (ens.winner[cond] < size))
+    assert np.all(ens.winner[~cond] == -1)
+
+    # Path i depends on its own stream only.
+    k = n_paths // 2
+    part = simulate_zrp_ensemble(config, eta0, k)
+    for full, sub in (
+        (ens.t_cond, part.t_cond), (ens.winner, part.winner),
+        (ens.first_event, part.first_event), (ens.samples, part.samples),
+    ):
+        np.testing.assert_array_equal(full[:k], sub)

@@ -4,17 +4,19 @@ Between absorptions the process solves
 
     dX = b * sum_{j in B} (m_j / X_j) v^B_j dt + noise,
 
-where the noise columns reproduce twice the symmetrized Dirichlet
-matrix of the trace chain on the active set B.  When a coordinate
-reaches the absorption threshold (or is driven negative within one
-step) it is glued to 0 forever, the remaining coordinates are
-renormalized, and the integration continues with the trace chain of
-the surviving set, recursively, until a single vertex remains.
+where the noise is F^B xi for a standard gaussian vector xi and a
+factor F^B of twice the symmetrized Dirichlet matrix of the trace
+chain on the active set B: the law of the diffusion depends on the
+noise only through that covariance.  When a coordinate reaches the
+absorption threshold (or is driven negative within one step) it is
+glued to 0 forever, the remaining coordinates are renormalized, and
+the integration continues with the trace chain of the surviving set,
+recursively, until a single vertex remains.
 
 The ensemble engine steps all paths in lockstep with numpy; every path
-consumes a fixed number of gaussians per step from its own
-counter-based stream, so trajectories are reproducible per
-(config, seed, path index) regardless of batching.
+consumes L gaussians per step from its own counter-based stream, so
+trajectories are reproducible per (config, seed, path index)
+regardless of batching.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .chain import ChainSpec, trace_rates
 from .errors import (
     ConfigRangeError,
     NonSimplexStartError,
+    SingularSystemError,
     StepBlowupError,
     ZeroCoordinateError,
 )
@@ -99,8 +102,12 @@ class DiffusionConfig:
 class FaceTable:
     """Dense per-face drift and noise data for the ensemble engine.
 
-    Index by bitmask of the active set (bit j <-> site j).  Faces with
-    fewer than two sites stay zero; a trapped path never gathers them.
+    Index by bitmask of the active set (bit j <-> site j).  ``noise_f``
+    holds one L x L noise factor F per face: F F^T = 2 a_s^B on the
+    face, the rows off the face are zero and every column sums to zero,
+    so the noise F xi stays on the face and on the hyperplane.
+    ``noise_diag`` is the diagonal of 2 a_s^B.  Faces with fewer than
+    two sites stay zero; a trapped path never gathers them.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -109,7 +116,7 @@ class FaceTable:
         size = chain.size
         n_masks = 1 << size
         self.drift_v = np.zeros((n_masks, size, size))
-        self.noise_c = np.zeros((n_masks, size, size))
+        self.noise_f = np.zeros((n_masks, size, size))
         self.noise_diag = np.zeros((n_masks, size))
         self.active = np.zeros((n_masks, size), dtype=bool)
         self.popcount = np.zeros(n_masks, dtype=np.int64)
@@ -122,8 +129,24 @@ class FaceTable:
             trace = trace_rates(chain, members)
             ix = np.ix_(members, members)
             self.drift_v[mask][ix] = trace.drift_vectors
-            self.noise_c[mask][ix] = np.sqrt(trace.m_B[:, None] * trace.rates)
+            self.noise_f[mask, members, : len(members) - 1] = _noise_factor(trace.dirichlet)
             self.noise_diag[mask, members] = 2.0 * np.diag(trace.dirichlet)
+
+
+def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
+    """A k x (k-1) factor F of 2 a with zero column sums.
+
+    ``dirichlet`` is the Dirichlet matrix a of an irreducible chain on k
+    sites: its rows sum to zero and, with the last site pinned, it is
+    positive definite.  The first k-1 rows of F are the Cholesky factor
+    of that pinned block and the last row is minus their sum, which
+    gives F F^T = 2 a exactly in the algebra, with no eigenvalue cutoff.
+    """
+    try:
+        low = np.linalg.cholesky(2.0 * dirichlet[:-1, :-1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"Dirichlet matrix is not positive on the face: {exc}") from exc
+    return np.vstack([low, -low.sum(axis=0)])
 
 
 def drift(
@@ -159,21 +182,19 @@ def em_step(
     """One explicit Euler-Maruyama step per row; absorption is NOT applied.
 
     The increment is drift_vec * dt + sqrt(dt) * noise, where the noise
-    of row ``p`` is sum_{j,k} c_jk xi_jk (e_k - e_j) with c = noise_c of
-    its face (so sum c c^T = 2 a_s^B) and ``xi`` of shape (M, L, L)
-    holding one standard gaussian per ordered pair; ``xi`` is unused
-    when ``noise_scale`` is 0.  ``paths`` names the rows in errors.
-    Returns the renormalized points and t + dt.  The points may carry
-    negative coordinates; absorption detection owns their handling.
-    Raises StepBlowupError when a row leaves the hyperplane beyond
-    tolerance (or turns NaN), which signals dt too large near the
-    singular drift.
+    of row ``p`` is F xi[p] with F = noise_f of its face (so
+    F F^T = 2 a_s^B) and ``xi`` of shape (M, L) holding L standard
+    gaussians per row; ``xi`` is unused when ``noise_scale`` is 0.
+    ``paths`` names the rows in errors.  Returns the renormalized points
+    and t + dt.  The points may carry negative coordinates; absorption
+    detection owns their handling.  Raises StepBlowupError when a row
+    leaves the hyperplane beyond tolerance (or turns NaN), which signals
+    dt too large near the singular drift.
     """
     xb_new = x + drift_vec * dt[:, None]
     if noise_scale > 0:
-        wn = faces.noise_c[masks] * xi * noise_scale
-        incr = wn.sum(axis=1) - wn.sum(axis=2)
-        xb_new = xb_new + np.sqrt(dt)[:, None] * incr
+        incr = np.einsum("pjk,pk->pj", faces.noise_f[masks], xi)
+        xb_new = xb_new + (noise_scale * np.sqrt(dt))[:, None] * incr
 
     total = xb_new.sum(axis=1)
     bad = ~(np.abs(total - 1.0) <= SUM_TOL)
@@ -268,7 +289,7 @@ def simulate_diffusion_ensemble(
     streams = PathStreams(
         derive_seed(config.seed, "diffusion"),
         n_paths,
-        values_per_step=size * size,
+        values_per_step=size,
         block=64,
         gaussian=True,
     )
@@ -300,7 +321,7 @@ def simulate_diffusion_ensemble(
 
         xi = None
         if config.noise_scale > 0:
-            xi = streams.take(ids).reshape(ids.size, size, size)
+            xi = streams.take(ids)
         x_new, t_new = em_step(
             faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale
         )

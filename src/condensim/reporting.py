@@ -8,8 +8,13 @@ timestamps appear; timestamps live only in the manifest.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 
 def fmt(value) -> str:
@@ -50,6 +55,14 @@ class ManifestTimer:
         self.seed = seed
         self.seed_source = seed_source
         self.checks: dict[str, bool] = {}
+        # What the run's numbers may depend on besides config and seed.
+        self.environment = {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "CONDENSIM_SEED": os.environ.get("CONDENSIM_SEED"),
+        }
         self._start = time.monotonic()
         self._wall = time.time()
 
@@ -74,6 +87,7 @@ class ManifestTimer:
             "wall_time_s": round(time.monotonic() - self._start, 3),
             "started_unix": self._wall,
             "checks": self.checks,
+            "environment": self.environment,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path

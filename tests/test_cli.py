@@ -1,9 +1,12 @@
 """End-to-end subcommand tests driving the CLI exactly as a user would."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from condensim.cli import main
 
@@ -65,6 +68,12 @@ class TestChainInfo:
         assert manifest["subcommand"] == "chain-info"
         assert manifest["seed"] == 42
         assert manifest["seed_source"] == "config"
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["CONDENSIM_SEED"] is None
 
     def test_each_subcommand_keeps_its_manifest(self, tmp_path):
         cfg, out = write_config(tmp_path, paths=20)
@@ -253,6 +262,7 @@ class TestSeedOverride:
         manifest = json.loads((out / "run_manifest_diff-run.json").read_text())
         assert manifest["seed"] == 777
         assert manifest["seed_source"] == "env"
+        assert manifest["environment"]["CONDENSIM_SEED"] == "777"
 
     def test_env_seed_changes_output(self, tmp_path, monkeypatch):
         cfg, out = write_config(tmp_path, paths=10)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from condensim.chain import dirichlet_matrix, trace_rates, validate_chain
+from condensim.chain import ChainSpec, dirichlet_matrix, trace_rates, validate_chain
 from condensim.diffusion import (
     DiffusionConfig,
     FaceTable,
@@ -20,11 +23,12 @@ from condensim.diffusion import (
 from condensim.errors import (
     ConfigRangeError,
     NonSimplexStartError,
+    SingularSystemError,
     StepBlowupError,
     ZeroCoordinateError,
 )
 
-from _chains import k3, random_irreducible_chain
+from _chains import k3, random_irreducible_chain, ring8
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -55,7 +59,7 @@ def engine_step(chain, x, dt, xi=None, b=1.5, noise_scale=1.0):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     masks = face_masks(x)
     _, drift_vec = drift(faces, masks, x, chain.m, b)
-    xi = np.zeros((1, chain.size, chain.size)) if xi is None else xi[None]
+    xi = np.zeros((1, chain.size)) if xi is None else xi[None]
     x_new, t_new = em_step(
         faces, masks, np.arange(1), x, np.zeros(1), drift_vec,
         np.full(1, dt), xi, noise_scale,
@@ -96,37 +100,25 @@ class TestDrift:
 
 
 class TestNoiseBasis:
-    """The engine's noise columns sqrt(m_j r^B(j,k)) (e_k - e_j), one per
-    ordered pair of the face, are read off FaceTable.noise_c."""
+    """The engine's noise is F xi with F = FaceTable.noise_f of the face:
+    F F^T = 2 a_s^B on the face, zero rows off it, zero column sums."""
 
-    @staticmethod
-    def columns(faces, mask):
-        c = faces.noise_c[mask]
-        cols = []
-        for j, k in zip(*np.nonzero(~np.eye(c.shape[0], dtype=bool))):
-            col = np.zeros(c.shape[0])
-            col[k] = c[j, k]
-            col[j] = -c[j, k]
-            cols.append(col)
-        return np.asarray(cols)
-
-    def test_k3_column_entries(self):
+    def test_k3_closed_form(self):
+        # K3 with uniform m: a_s = I - 11^T / 3.
         faces = FaceTable(k3())
-        cols = self.columns(faces, 0b111)
-        assert cols.shape == (6, 3)
-        nz = cols[np.abs(cols) > 0]
-        assert nz.size == 12
-        np.testing.assert_allclose(np.abs(nz), np.sqrt(1 / 3), atol=1e-14)
-        assert np.all(np.diag(faces.noise_c[0b111]) == 0.0)
+        f = faces.noise_f[0b111]
+        np.testing.assert_allclose(f @ f.T, 2 * (np.eye(3) - 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(faces.noise_diag[0b111], 4 / 3, atol=1e-14)
+        np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-15)
 
     def test_columns_sum_to_zero(self):
         # Face {0, 1}: the noise stays on the face and on the hyperplane.
         faces = FaceTable(k3())
-        cols = self.columns(faces, 0b011)
-        np.testing.assert_allclose(cols.sum(axis=1), 0.0, atol=1e-15)
-        assert np.all(cols[:, 2] == 0.0)
+        f = faces.noise_f[0b011]
+        np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-15)
+        assert np.all(f[2] == 0.0)
         x = np.array([0.5, 0.5, 0.0])
-        new = engine_step(k3(), x, 1e-3, xi=np.arange(9.0).reshape(3, 3))
+        new = engine_step(k3(), x, 1e-3, xi=np.arange(1.0, 4.0))
         assert new[2] == 0.0
         assert abs((new - x).sum()) <= 1e-15
         assert not np.allclose(new, x)
@@ -141,12 +133,49 @@ class TestNoiseBasis:
                 if len(members) < 2:
                     continue
                 trace = trace_rates(chain, members)
-                cols = self.columns(faces, mask)
-                outer = cols.T @ cols
+                f = faces.noise_f[mask]
+                outer = f @ f.T
+                off = np.ones(chain.size, dtype=bool)
+                off[members] = False
                 np.testing.assert_allclose(
                     outer[np.ix_(members, members)], 2 * trace.dirichlet, atol=1e-12
                 )
                 np.testing.assert_allclose(faces.noise_diag[mask], np.diag(outer), atol=1e-12)
+                np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-12)
+                assert np.all(f[off] == 0.0)
+
+    def test_singular_face_raises_typed_error(self):
+        # Two sites with no rates, built without validation: the
+        # Dirichlet matrix is zero, so it has no Cholesky factor.
+        with pytest.raises(SingularSystemError, match="not positive on the face"):
+            FaceTable(ChainSpec(np.zeros((2, 2)), np.full(2, 0.5)))
+
+    def test_increment_covariance_is_twice_dirichlet(self):
+        # With zero drift, the one-step increments of em_step on the face
+        # {0, 1, 2, 4} of a random 5-site chain have covariance 2 a_s^B dt.
+        # The sample covariance of n gaussian rows has standard error
+        # sqrt((S_jj S_kk + S_jk^2) / n) in entry (j, k).
+        rng = np.random.default_rng(53)
+        chain = random_irreducible_chain(rng, 5)
+        faces = FaceTable(chain)
+        members = [0, 1, 2, 4]
+        mask = 0b10111
+        n, dt = 100_000, 1e-4
+        x = np.zeros((n, 5))
+        x[:, members] = [0.3, 0.2, 0.25, 0.25]
+        x_new, _ = em_step(
+            faces, np.full(n, mask), np.arange(n), x, np.zeros(n), np.zeros((n, 5)),
+            np.full(n, dt), rng.standard_normal((n, 5)), 1.0,
+        )
+        incr = x_new - x
+        assert np.all(incr[:, 3] == 0.0)
+        cov = incr.T @ incr / (n * dt)
+        want = np.zeros((5, 5))
+        want[np.ix_(members, members)] = 2 * trace_rates(chain, members).dirichlet
+        diag = np.diag(want)
+        stderr = np.sqrt((np.outer(diag, diag) + want**2) / n)
+        ix = np.ix_(members, members)
+        assert np.all(np.abs(cov[ix] - want[ix]) <= 4 * stderr[ix]), (cov[ix] - want[ix]) / stderr[ix]
 
 
 class TestEmStep:
@@ -165,7 +194,7 @@ class TestEmStep:
 
     def test_noise_moves_state(self):
         x = np.full(3, 1 / 3)
-        new = engine_step(k3(), x, 1e-3, xi=np.arange(9.0).reshape(3, 3))
+        new = engine_step(k3(), x, 1e-3, xi=np.arange(1.0, 4.0))
         assert not np.allclose(new, x)
         assert new.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +210,7 @@ class TestEmStep:
         with pytest.raises(StepBlowupError):
             em_step(
                 faces, np.array([0b111]), np.arange(1), x, np.zeros(1),
-                np.array([[np.nan, 0.0, 0.0]]), np.full(1, 1e-3), np.zeros((1, 3, 3)), 1.0,
+                np.array([[np.nan, 0.0, 0.0]]), np.full(1, 1e-3), np.zeros((1, 3)), 1.0,
             )
 
 
@@ -286,7 +315,7 @@ class TestSimulate:
             members = [j for j in range(chain.size) if mask >> j & 1]
             if len(members) >= 2:
                 assert np.all(trace_rates(chain, members).rates >= 0), members
-        assert np.all(np.isfinite(FaceTable(chain).noise_c))
+        assert np.all(np.isfinite(FaceTable(chain).noise_f))
         # A hang must fail this test instead of stalling the suite.
         script = (
             "import numpy as np\n"
@@ -312,6 +341,125 @@ class TestSimulate:
             DiffusionConfig(chain=k3(), b=0.8, seed=1)
         with pytest.warns(UserWarning):
             DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.1)
+
+
+def _pinned_cases(noise_scale):
+    grid = tuple(np.linspace(0.0, 0.2, 11))
+    x8 = np.arange(1.0, 9.0) / 36.0
+    tag = "ode" if noise_scale == 0 else "noisy"
+    common = dict(b=1.5, noise_scale=noise_scale, cond_delta=0.1)
+    horizon = dict(horizon=0.2, sample_times=grid)
+    yield f"k3-trap-{tag}", DiffusionConfig(chain=k3(), seed=7, **common), [0.5, 0.3, 0.2], 20
+    yield f"k3-horizon-{tag}", DiffusionConfig(
+        chain=k3(), seed=8, **common, **horizon
+    ), [0.5, 0.3, 0.2], 20
+    yield f"ring8-trap-{tag}", DiffusionConfig(chain=ring8(), seed=9, **common), x8, 10
+    yield f"ring8-horizon-{tag}", DiffusionConfig(
+        chain=ring8(), seed=10, **common, **horizon
+    ), x8, 10
+
+
+def _digest(ens) -> str:
+    h = hashlib.sha256()
+    for a in (
+        ens.sigma1, ens.trapped_vertex, ens.trapped_time, ens.t_cond,
+        ens.samples, ens.sample_masks,
+    ):
+        h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
+    h.update(repr(ens.events).encode())
+    return h.hexdigest()
+
+
+# Drift-only runs: every formula but the noise.  Taken before the noise
+# moved from one gaussian per ordered pair to one factor per face, and
+# unchanged by it.
+PINNED_ODE = {
+    "k3-trap-ode": "6ecc7cdb53975ea122c407d47baa111066ea27839c0d48212890ebb148b33138",
+    "k3-horizon-ode": "f4fc68178781ff59ee02fbd2f6d8c1cb9254903c4345bac637b0ea1d6049d0db",
+    "ring8-trap-ode": "71f4a7764809f2068ff65999766e25d07ec1e400aa8093fde6ecf9bb428892ac",
+    "ring8-horizon-ode": "f7efb0134f03a2a8e60782c0fd720d2959e539cb47179e19e907946989cc56b4",
+}
+
+# Noisy runs: the gaussian streams and the per-face noise factor too.  A
+# change that alters a stream on purpose updates them and says so in
+# CHANGES.md.
+PINNED_NOISY = {
+    "k3-trap-noisy": "645cf739f88e7752adde9cc70bfb50eb61a2d2419c22f411ea3bd451e65d05db",
+    "k3-horizon-noisy": "89ea09c26b152e7346bdb34f40126b133c3906da48fd6b7be2d59853f32981dc",
+    "ring8-trap-noisy": "6d9854488f45fb6a35acc7625b050028bfdfe885c9ebef328716fe4faf97d8db",
+    "ring8-horizon-noisy": "36a3e4d3c521f6788acae5c23f9b7d78fb6ac11f957531d7b698e9ba679ea9a8",
+}
+
+
+@pytest.mark.parametrize(
+    "noise_scale, pinned", [(0.0, PINNED_ODE), (1.0, PINNED_NOISY)], ids=["ode", "noisy"]
+)
+def test_engine_outputs_pinned(noise_scale, pinned):
+    # SHA-256 of the absorption times, trapped vertices, condensation
+    # times, samples with their faces, and the absorption events.
+    got = {
+        name: _digest(simulate_diffusion_ensemble(config, x0, paths))
+        for name, config, x0, paths in _pinned_cases(noise_scale)
+    }
+    assert got == pinned
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 10))
+def test_face_table_factors_every_face(seed, size):
+    chain = random_irreducible_chain(np.random.default_rng(seed), size)
+    faces = FaceTable(chain)
+    assert np.all(np.isfinite(faces.noise_f))
+    for mask in range(1, 1 << size):
+        members = [j for j in range(size) if mask >> j & 1]
+        if len(members) < 2:
+            continue
+        trace = trace_rates(chain, members)
+        assert np.all(trace.rates >= 0), members
+        f = faces.noise_f[mask][members]
+        want = 2 * trace.dirichlet
+        tol = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(f @ f.T, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(f.sum(axis=0), 0.0, rtol=0, atol=tol)
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 6),
+    n_paths=st.integers(2, 6),
+)
+def test_horizon_runs_are_consistent(seed, size, n_paths):
+    rng = np.random.default_rng(seed)
+    chain = random_irreducible_chain(rng, size)
+    horizon = float(rng.uniform(0.005, 0.05))
+    config = DiffusionConfig(
+        chain=chain, b=float(rng.uniform(1.1, 3.0)), seed=seed, horizon=horizon,
+        sample_times=tuple(np.unique(rng.uniform(0.0, horizon, 5))),
+        cond_delta=float(rng.uniform(0.05, 0.5)),
+    )
+    x0 = rng.dirichlet(np.ones(size))
+    ens = simulate_diffusion_ensemble(config, x0, n_paths)
+
+    # Every sample is finite and lies on the simplex, on its own face.
+    assert np.all(np.isfinite(ens.samples))
+    assert np.all(ens.samples >= 0)
+    np.testing.assert_allclose(ens.samples.sum(axis=-1), 1.0, atol=1e-9)
+    off_face = ((ens.sample_masks[..., None] >> np.arange(size)) & 1) == 0
+    assert np.all(ens.samples[off_face] == 0.0)
+    for events in ens.events:
+        assert all(t <= horizon for t, _ in events)
+
+    # Path i depends on its own stream only.
+    k = n_paths // 2
+    head = simulate_diffusion_ensemble(config, x0, k)
+    for a, b in (
+        (ens.sigma1, head.sigma1), (ens.trapped_vertex, head.trapped_vertex),
+        (ens.trapped_time, head.trapped_time), (ens.t_cond, head.t_cond),
+        (ens.samples, head.samples), (ens.sample_masks, head.sample_masks),
+    ):
+        np.testing.assert_array_equal(a[:k], b)
+    assert ens.events[:k] == head.events
 
 
 class TestSchemeAccuracy:

@@ -16,7 +16,7 @@ from condensim.zrp import (
     zrp_generator_apply,
 )
 
-from _chains import asym3, k3, random_irreducible_chain
+from _chains import asym3, k3, random_irreducible_chain, ring8
 
 
 @pytest.fixture
@@ -162,17 +162,6 @@ def test_non_finite_horizons_rejected(two_site):
                 make(**bad)
 
 
-def _ring8() -> np.ndarray:
-    """The 8-site ring of the benchmark's diffusion workload."""
-    rates = np.zeros((8, 8))
-    for i in range(8):
-        rates[i, (i + 1) % 8] = 1.0 + 0.2 * (i % 5)
-        rates[(i + 1) % 8, i] = 0.5 + 0.1 * (i % 4)
-        if i % 2 == 0:
-            rates[i, (i + 4) % 8] = 0.3 + 0.1 * (i % 3)
-    return rates
-
-
 def _pinned_cases():
     grid = tuple(np.linspace(0.0, 0.05, 11))
     yield "k3-condense", ZrpConfig(chain=k3(), n_particles=200, b=1.5, seed=3), [67, 67, 66], 300
@@ -181,7 +170,7 @@ def _pinned_cases():
         g_correction=0.7, sample_times=grid, horizon=0.05,
     ), [20, 25, 15], 200
     yield "ring8-horizon", ZrpConfig(
-        chain=validate_chain(_ring8()), n_particles=40, b=1.5, seed=5,
+        chain=ring8(), n_particles=40, b=1.5, seed=5,
         sample_times=grid, horizon=0.04,
     ), [5] * 8, 100
     yield "condensed-start", ZrpConfig(

@@ -4,18 +4,15 @@ simplex-diffusion scaling limit, with a verification harness."""
 from .bumps import BumpFunction, standard_bumps
 from .chain import (
     ChainSpec,
-    HarmonicBasis,
-    TraceChainSpec,
     chain_identity_residuals,
     dirichlet_matrix,
     harmonic_extensions,
     hitting_diagonal_min,
-    invariant_measure,
     superharmonic_radius,
     trace_rates,
     validate_chain,
 )
-from .config import RunConfig, config_hash, parse_config
+from .config import RunConfig, __version__, config_hash, parse_config
 from .diffusion import (
     DiffusionConfig,
     DiffusionEnsemble,
@@ -37,9 +34,6 @@ from .experiments import (
 from .zrp import (
     ZrpConfig,
     ZrpEnsemble,
-    jump_rate_g,
     simulate_zrp_ensemble,
     zrp_generator_apply,
 )
-
-__version__ = "0.1.0"

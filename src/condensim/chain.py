@@ -4,10 +4,10 @@ Everything downstream (both simulation engines and the verification
 harness) is built from the objects in this module: validated rate
 matrices with their invariant measures, Dirichlet-form matrices,
 harmonic extensions of indicators (whose transpose is the linear
-projection onto a sub-simplex), trace chains on subsets, the residuals
-of the identities tying them together, and the explicit
-super-harmonicity radius.  All values are immutable after construction
-and safe to share across simulation workers.
+projection onto a sub-simplex), trace chains on subsets (again
+chains), the residuals of the identities tying them together, and the
+explicit super-harmonicity radius.  All values are immutable after
+construction and safe to share across simulation workers.
 
 Sites are indexed 0..L-1 throughout the library; the CLI layer converts
 to the 1-based labels used in configs and reports.
@@ -40,56 +40,6 @@ IDENTITY_TOL = 1e-10
 # Rows of the harmonic basis sum to 1 up to the roundoff of one dense
 # solve, far inside IDENTITY_TOL.
 UNITY_TOL = 1e-12
-
-
-def _as_rate_matrix(rates: Sequence | np.ndarray) -> np.ndarray:
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ChainValidationError(f"rate matrix must be square, got shape {r.shape}")
-    if r.shape[0] < 2:
-        raise ChainValidationError("need at least two sites")
-    if not np.all(np.isfinite(r)):
-        raise ChainValidationError("rates must be finite")
-    if np.any(r < 0):
-        raise ChainValidationError("rates must be nonnegative")
-    if np.any(np.diag(r) != 0):
-        raise ChainValidationError("rate matrix must have zero diagonal")
-    return r
-
-
-def is_irreducible(rates: np.ndarray) -> bool:
-    """True when the support of ``rates`` is strongly connected."""
-    support = csr_matrix(np.asarray(rates) > 0)
-    n, _ = connected_components(support, directed=True, connection="strong")
-    return n == 1
-
-
-def invariant_measure(rates: Sequence | np.ndarray) -> np.ndarray:
-    """Unique positive solution of m^T G = 0, normalized to sum 1.
-
-    G is the generator matrix built from ``rates``.  Normalization to a
-    probability vector is a convention of this artifact; identities that
-    are homogeneous in m do not depend on it.
-
-    Raises :class:`ReducibleChainError` for reducible rate matrices.
-    """
-    r = _as_rate_matrix(rates)
-    if not is_irreducible(r):
-        raise ReducibleChainError("rate matrix is reducible")
-    gen = r - np.diag(r.sum(axis=1))
-    # m^T G = 0 with the normalization row appended in place of one
-    # (redundant) balance equation.
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(r.shape[0])
-    b[-1] = 1.0
-    try:
-        m = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularSystemError(str(exc)) from exc
-    if np.any(m <= 0):  # pragma: no cover - cannot happen for irreducible r
-        raise SingularSystemError("computed measure is not strictly positive")
-    return m
 
 
 @dataclass(frozen=True)
@@ -154,19 +104,46 @@ def validate_chain(
 ) -> ChainSpec:
     """Validate a rate matrix and pair it with an invariant measure.
 
-    When ``m`` is omitted it is computed (and normalized to sum 1).  A
-    supplied ``m`` is accepted unnormalized but must be strictly
-    positive and invariant: ||m^T G||_inf <= tol * ||m||_1 * max lambda.
+    When ``m`` is omitted it is computed: the unique positive solution
+    of m^T G = 0, normalized to sum 1.  Normalization to a probability
+    vector is a convention of this artifact; identities that are
+    homogeneous in m do not depend on it.  A supplied ``m`` is accepted
+    unnormalized but must be strictly positive and invariant:
+    ||m^T G||_inf <= tol * ||m||_1 * max lambda.
 
     Raises
     ------
-    ReducibleChainError, NotInvariantError, NonPositiveMeasureError
+    ChainValidationError, ReducibleChainError, NotInvariantError,
+    NonPositiveMeasureError
     """
-    r = _as_rate_matrix(rates)
-    if not is_irreducible(r):
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ChainValidationError(f"rate matrix must be square, got shape {r.shape}")
+    if r.shape[0] < 2:
+        raise ChainValidationError("need at least two sites")
+    if not np.all(np.isfinite(r)):
+        raise ChainValidationError("rates must be finite")
+    if np.any(r < 0):
+        raise ChainValidationError("rates must be nonnegative")
+    if np.any(np.diag(r) != 0):
+        raise ChainValidationError("rate matrix must have zero diagonal")
+    n_classes, _ = connected_components(csr_matrix(r > 0), directed=True, connection="strong")
+    if n_classes != 1:
         raise ReducibleChainError("rate matrix is reducible")
+    gen = r - np.diag(r.sum(axis=1))
     if m is None:
-        mv = invariant_measure(r)
+        # m^T G = 0 with the normalization row appended in place of one
+        # (redundant) balance equation.
+        a = gen.T.copy()
+        a[-1, :] = 1.0
+        rhs = np.zeros(r.shape[0])
+        rhs[-1] = 1.0
+        try:
+            mv = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise SingularSystemError(str(exc)) from exc
+        if np.any(mv <= 0):  # pragma: no cover - cannot happen for irreducible r
+            raise SingularSystemError("computed measure is not strictly positive")
     else:
         mv = np.asarray(m, dtype=float).copy()
         if mv.shape != (r.shape[0],):
@@ -175,7 +152,6 @@ def validate_chain(
             )
         if np.any(mv <= 0):
             raise NonPositiveMeasureError("invariant measure must be strictly positive")
-        gen = r - np.diag(r.sum(axis=1))
         residual = np.abs(mv @ gen).max()
         scale = mv.sum() * max(r.sum(axis=1).max(), 1.0)
         if residual > tol * scale:
@@ -192,7 +168,8 @@ def dirichlet_matrix(chain: ChainSpec) -> np.ndarray:
     Row and column sums vanish, and a_s is positive semidefinite with a
     one-dimensional kernel spanned by the constants.
     """
-    return _dirichlet_of(chain.rates, chain.m)
+    a = -chain.m[:, None] * chain.generator
+    return 0.5 * (a + a.T)
 
 
 def _normalize_subset(size: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -208,34 +185,21 @@ def subset_complement(size: int, subset: Sequence[int]) -> tuple[int, ...]:
     return tuple(j for j in range(size) if j not in set(subset))
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> np.ndarray:
     """Harmonic extensions u_k, k in B, of the indicators of B's sites.
 
-    ``matrix`` has shape (L, |B|); column ``i`` is u_{B[i]}, the unique
-    function equal to the indicator of B[i] on B and annihilated by the
-    generator off B.  Its entries are the hitting probabilities
-    P_j[chain hits B at B[i]], so each row sums to 1.
+    Returns the read-only (L, |B|) matrix whose column ``i`` is
+    u_{B[i]} (B sorted): the unique function equal to the indicator of
+    B[i] on B and annihilated by the generator off B.  Its entries are
+    the hitting probabilities P_j[chain hits B at B[i]], so each row
+    sums to 1.  For B = S it is the identity.  Otherwise, with
+    A = B^c, each column solves (diag(lambda_A) - R_AA) u_A = R_AB e_k,
+    which is nonsingular for irreducible chains.
 
-    ``matrix.T`` is the projection Upsilon_B of the full simplex onto
+    The transpose is the projection Upsilon_B of the full simplex onto
     the B-simplex, with entry (k, j) = u_k(j): it maps points of the
     simplex to points of the B-simplex and restricts to the identity on
     points supported in B.
-    """
-
-    B: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> HarmonicBasis:
-    """Solve the boundary-value problems defining u_k for every k in B.
-
-    For B = S the basis is the identity.  Otherwise, with A = B^c, each
-    column solves (diag(lambda_A) - R_AA) u_A = R_AB e_k, which is
-    nonsingular for irreducible chains.
     """
     b = _normalize_subset(chain.size, B)
     a = subset_complement(chain.size, b)
@@ -250,58 +214,27 @@ def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> HarmonicBasis:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SingularSystemError(str(exc)) from exc
         u[list(a), :] = ua
-    return HarmonicBasis(B=b, matrix=u)
+    u.setflags(write=False)
+    return u
 
 
-@dataclass(frozen=True)
-class TraceChainSpec:
-    """The chain watched only while on B, with its diffusion data.
-
-    ``rates`` are the trace rates r^B; ``m_B`` is the restriction of
-    the parent measure, which is again invariant; ``drift_vectors`` has
-    row j equal to v^B_j = sum_k r^B(j,k) (e_k - e_j); ``dirichlet`` is
-    the symmetrized Dirichlet matrix of (r^B, m_B).
-    """
-
-    B: tuple[int, ...]
-    rates: np.ndarray
-    m_B: np.ndarray
-    drift_vectors: np.ndarray
-    dirichlet: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.rates, self.m_B, self.drift_vectors, self.dirichlet):
-            arr.setflags(write=False)
-
-    @property
-    def holding(self) -> np.ndarray:
-        return self.rates.sum(axis=1)
-
-    @property
-    def generator(self) -> np.ndarray:
-        return self.rates - np.diag(self.holding)
-
-
-def _dirichlet_of(rates: np.ndarray, m: np.ndarray) -> np.ndarray:
-    gen = rates - np.diag(rates.sum(axis=1))
-    a = -m[:, None] * gen
-    return 0.5 * (a + a.T)
-
-
-def trace_rates(chain: ChainSpec, B: Iterable[int]) -> TraceChainSpec:
+def trace_rates(chain: ChainSpec, B: Iterable[int]) -> ChainSpec:
     """Trace chain on B via the harmonic extensions.
 
-    r^B(j, k) = sum_l r(j, l) u_k(l) for j != k in B.  The trace only
-    adds mass (r^B >= r on B) and preserves the holding rates, and m
-    restricted to B is invariant for r^B.  The rates are nonnegative in
+    The chain watched only while on B is again a chain, on the sorted
+    sites of B: r^B(j, k) = sum_l r(j, l) u_k(l) for j != k in B, with
+    measure m restricted to B, which is invariant for r^B.  Row j of
+    its generator is the drift vector v^B_j = sum_k r^B(j,k) (e_k - e_j)
+    of the face diffusion, and its ``dirichlet_matrix`` is that
+    diffusion's a_s^B.  The trace only adds mass (r^B >= r on B) and
+    does not raise the holding rates.  The rates are nonnegative in
     exact arithmetic: roundoff down to -1e-12 times the largest holding
     rate is clipped to 0, anything below raises SingularSystemError.
     """
     b = _normalize_subset(chain.size, B)
     if len(b) < 2:
         raise SubsetTooSmallError(f"trace needs at least two sites, got {b}")
-    basis = harmonic_extensions(chain, b)
-    rb = chain.rates[list(b), :] @ basis.matrix
+    rb = chain.rates[list(b), :] @ harmonic_extensions(chain, b)
     np.fill_diagonal(rb, 0.0)
     floor = -1e-12 * chain.holding.max()
     if not np.all(rb >= floor):
@@ -309,15 +242,7 @@ def trace_rates(chain: ChainSpec, B: Iterable[int]) -> TraceChainSpec:
             f"trace rates on {b} reach {rb.min():.3e}, below roundoff {floor:.3e}"
         )
     rb[rb < 0] = 0.0
-    gen_b = rb - np.diag(rb.sum(axis=1))
-    m_b = chain.m[list(b)].copy()
-    return TraceChainSpec(
-        B=b,
-        rates=rb,
-        m_B=m_b,
-        drift_vectors=gen_b.copy(),
-        dirichlet=_dirichlet_of(rb, m_b),
-    )
+    return ChainSpec(rates=rb, m=chain.m[list(b)])
 
 
 def superharmonic_radius(chain: ChainSpec, B: Iterable[int], b: float, p: float) -> float:
@@ -368,7 +293,7 @@ def chain_identity_residuals(chain: ChainSpec) -> list[tuple[str, str, float, fl
     the Dirichlet matrix and, aggregated by their maximum over every
     subset B with at least two sites: the trace drift against the
     generator applied to the harmonic basis, the projection
-    Upsilon_B = basis.matrix.T sending v_j to v^B_j for j in B and to 0
+    Upsilon_B = basis.T sending v_j to v^B_j for j in B and to 0
     off B, the invariance of m restricted to B for the trace chain, and
     the partition of unity of the basis.
     """
@@ -385,17 +310,18 @@ def chain_identity_residuals(chain: ChainSpec) -> list[tuple[str, str, float, fl
         for subset in combinations(range(size), nb):
             basis = harmonic_extensions(chain, subset)
             trace = trace_rates(chain, subset)
-            # C-ordered: the product with the strided view basis.matrix.T
+            v_b = trace.generator  # row j is the trace drift v^B_j
+            # C-ordered: the product with the strided view basis.T
             # rounds differently in the last bits.
-            ups = np.ascontiguousarray(basis.matrix.T)
-            lu = gen @ basis.matrix  # (L, |B|): column k is L u_k
-            eq10 = max(eq10, float(np.abs(trace.drift_vectors - lu[list(subset), :]).max()))
+            ups = np.ascontiguousarray(basis.T)
+            lu = gen @ basis  # (L, |B|): column k is L u_k
+            eq10 = max(eq10, float(np.abs(v_b - lu[list(subset), :]).max()))
             for ji, j in enumerate(subset):
-                uvuv = max(uvuv, float(np.abs(ups @ gen[j] - trace.drift_vectors[ji]).max()))
+                uvuv = max(uvuv, float(np.abs(ups @ gen[j] - v_b[ji]).max()))
             for j in subset_complement(size, subset):
                 kills = max(kills, float(np.abs(ups @ gen[j]).max()))
-            minv = max(minv, float(np.abs(trace.m_B @ trace.generator).max()))
-            unity = max(unity, float(np.abs(basis.matrix.sum(axis=1) - 1.0).max()))
+            minv = max(minv, float(np.abs(trace.m @ v_b).max()))
+            unity = max(unity, float(np.abs(basis.sum(axis=1) - 1.0).max()))
     rows.append(("trace_drift_vs_harmonic", "max residual", eq10, IDENTITY_TOL))
     rows.append(("projection_intertwines", "max residual", uvuv, IDENTITY_TOL))
     rows.append(("projection_kills_complement", "max residual", kills, IDENTITY_TOL))

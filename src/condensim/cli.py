@@ -142,14 +142,14 @@ def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> 
         basis = harmonic_extensions(chain, subset)
         for ki, k in enumerate(subset):
             for j in range(size):
-                rows.append(("u", j + 1, k + 1, basis.matrix[j, ki]))
+                rows.append(("u", j + 1, k + 1, basis[j, ki]))
         trace = trace_rates(chain, subset)
         for ji, j in enumerate(subset):
             for ki, k in enumerate(subset):
                 rows.append(("r_B", j + 1, k + 1, trace.rates[ji, ki]))
         for ki, k in enumerate(subset):
             for j in range(size):
-                rows.append(("upsilon", k + 1, j + 1, basis.matrix[j, ki]))
+                rows.append(("upsilon", k + 1, j + 1, basis[j, ki]))
         if len(subset) < size:
             p = config.effective_p()
             rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))

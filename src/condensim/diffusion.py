@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, trace_rates
+from .chain import ChainSpec, dirichlet_matrix, trace_rates
 from .errors import (
     ConfigRangeError,
     NonSimplexStartError,
@@ -127,10 +127,10 @@ class FaceTable:
             if len(members) < 2:
                 continue
             trace = trace_rates(chain, members)
-            ix = np.ix_(members, members)
-            self.drift_v[mask][ix] = trace.drift_vectors
-            self.noise_f[mask, members, : len(members) - 1] = _noise_factor(trace.dirichlet)
-            self.noise_diag[mask, members] = 2.0 * np.diag(trace.dirichlet)
+            a_s = dirichlet_matrix(trace)
+            self.drift_v[mask][np.ix_(members, members)] = trace.generator
+            self.noise_f[mask, members, : len(members) - 1] = _noise_factor(a_s)
+            self.noise_diag[mask, members] = 2.0 * np.diag(a_s)
 
 
 def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
@@ -272,7 +272,6 @@ def simulate_diffusion_ensemble(
         # Started at a vertex: trapped forever at time zero.
         trapped_vertex[:] = mask0.bit_length() - 1
         trapped_time[:] = 0.0
-        t_cond[:] = 0.0
         if n_samp:
             for row in range(n_paths):
                 flush(row, x0, mask0)
@@ -408,8 +407,6 @@ def generator_apply(chain: ChainSpec, b: float, h, x: np.ndarray) -> np.ndarray:
     ``h`` must expose ``gradient`` and ``hessian`` (see
     :class:`condensim.bumps.BumpFunction`).
     """
-    from .chain import dirichlet_matrix
-
     x = np.asarray(x, dtype=float)
     grad = h.gradient(x)
     hess = h.hessian(x)

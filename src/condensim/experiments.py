@@ -33,43 +33,16 @@ from .errors import (
 from .zrp import ZrpConfig, zrp_generator_apply
 
 
-@dataclass
-class MomentAccumulator:
-    """Streaming mean/variance with pairwise, order-independent merge."""
-
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, values) -> "MomentAccumulator":
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        other = MomentAccumulator(
-            n=values.size,
-            mean=float(values.mean()),
-            m2=float(((values - values.mean()) ** 2).sum()),
-        )
-        return self.merge(other)
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return self
-        if other.n == 0:
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean += delta * other.n / n
-        self.m2 += other.m2 + delta * delta * self.n * other.n / n
-        self.n = n
-        return self
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else float("nan")
-
-    @property
-    def stderr(self) -> float:
-        return float(np.sqrt(self.variance / self.n)) if self.n > 1 else float("nan")
+def _mean_stderr(values) -> tuple[float, float, int]:
+    """Sample mean, its standard error (NaN below two values) and the count."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    n = values.size
+    mean = float(values.mean())
+    if n < 2:
+        return mean, float("nan"), n
+    m2 = float(((values - mean) ** 2).sum())
+    var = m2 / (n - 1)
+    return mean, float(np.sqrt(var / n)), n
 
 
 @dataclass(frozen=True)
@@ -173,8 +146,8 @@ def hitting_bound_check(
     d_b = hitting_diagonal_min(chain, bset)
     size_b = len(bset)
     bound = size_b ** max(q - 1.0, 1.0) / ((q + 1.0) * (q - b) * d_b)
-    acc = MomentAccumulator().add(samples)
-    ci = 1.96 * acc.stderr
+    mean, stderr, n = _mean_stderr(samples)
+    ci = 1.96 * stderr
     return HittingBoundCheck(
         chain_id=chain.fingerprint(),
         B=bset,
@@ -182,10 +155,11 @@ def hitting_bound_check(
         q=q,
         d_B=d_b,
         bound=bound,
-        empirical_mean_sigma1=acc.mean,
+        empirical_mean_sigma1=mean,
         ci_halfwidth=ci,
-        n_samples=acc.n,
-        violated=bool(acc.mean - ci > bound),
+        n_samples=n,
+        # NaN-safe: one sample has no confidence interval and fails.
+        violated=not (mean - ci <= bound),
     )
 
 
@@ -439,8 +413,8 @@ def martingale_residual(
     gen = generator_values(samples)
     integral = np.trapezoid(gen, np.asarray(times, dtype=float), axis=1)
     resid = h.value(samples[:, -1, :]) - h.value(samples[:, 0, :]) - integral
-    acc = MomentAccumulator().add(resid)
-    return MartingaleResidual(mean=acc.mean, stderr=acc.stderr, n_paths=acc.n)
+    mean, stderr, n = _mean_stderr(resid)
+    return MartingaleResidual(mean=mean, stderr=stderr, n_paths=n)
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,9 @@ from .rng import PathStreams, derive_seed
 G_FAMILIES = ("default", "corrected")
 
 
-def jump_rate_g(
-    j: int,
-    n,
-    m: np.ndarray,
-    b: float,
-    family: str = "default",
-    correction: float = 0.0,
-):
-    """Departure rate of site j at occupancy n.
+def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
+    """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
+    validated >= 0.
 
     The default family g_j(n) = m_j (1 + b/n) satisfies
     n (g_j(n)/m_j - 1) = b exactly for every n >= 1, so the asymptotic
@@ -44,25 +38,10 @@ def jump_rate_g(
     a c/n^2 term to probe sensitivity to the tail condition only
     fixing the limit.  g_j(0) = 0 always.
     """
-    n = np.asarray(n)
-    mj = float(np.asarray(m)[j])
-    if family == "default":
-        extra = 0.0
-    elif family == "corrected":
-        extra = correction / np.where(n > 0, n, 1) ** 2
-    else:
-        raise ValueError(f"unknown g family {family!r}")
-    with np.errstate(divide="ignore"):
-        g = mj * (1.0 + b / np.where(n > 0, n, 1) + extra)
-    return np.where(n > 0, g, 0.0)
-
-
-def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
-    """g_j(n) for all sites and occupancies 0..n_max, validated >= 0."""
     n = np.arange(n_max + 1)
-    table = np.stack(
-        [jump_rate_g(j, n, chain.m, b, family, correction) for j in range(chain.size)]
-    )
+    n1 = np.where(n > 0, n, 1)
+    extra = correction / n1**2 if family == "corrected" else 0.0
+    table = np.where(n > 0, chain.m[:, None] * (1.0 + b / n1 + extra), 0.0)
     if not np.all(table >= 0):
         raise ConfigRangeError(
             f"jump-rate family {family!r} with b={b} produces negative or NaN rates"
@@ -124,7 +103,7 @@ class ZrpEnsemble:
     samples: np.ndarray | None  # (n_paths, T, L) occupation fractions
     t_cond: np.ndarray  # (n_paths,) first condensation time, nan if none
     winner: np.ndarray  # (n_paths,) condensed site, -1 if none
-    first_event: np.ndarray | None = None  # (n_paths,) time of first jump
+    first_event: np.ndarray  # (n_paths,) time of first jump, nan if none
 
 
 def _check_lattice(x: np.ndarray, n: int) -> np.ndarray:
@@ -228,7 +207,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
                 samples[:, 0, :] = eta0 / n
             return ZrpEnsemble(
                 config, eta0, n_paths,
-                np.asarray(config.sample_times), samples, t_cond, winner,
+                np.asarray(config.sample_times), samples, t_cond, winner, first_event,
             )
 
     first_pass = True

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensim.chain import (
     dirichlet_matrix,
     harmonic_extensions,
     hitting_diagonal_min,
-    invariant_measure,
     superharmonic_radius,
     subset_complement,
     trace_rates,
@@ -69,16 +70,16 @@ class TestValidateChain:
 
 class TestInvariantMeasure:
     def test_k3(self):
-        np.testing.assert_allclose(invariant_measure(K3_RATES), np.full(3, 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(validate_chain(K3_RATES).m, np.full(3, 1 / 3), atol=1e-14)
 
     def test_two_site(self):
         np.testing.assert_allclose(
-            invariant_measure([[0.0, 2.0], [1.0, 0.0]]), [1 / 3, 2 / 3], atol=1e-14
+            validate_chain([[0.0, 2.0], [1.0, 0.0]]).m, [1 / 3, 2 / 3], atol=1e-14
         )
 
     def test_unit_cycle_is_uniform(self):
         rates = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-        np.testing.assert_allclose(invariant_measure(rates), np.full(3, 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(validate_chain(rates).m, np.full(3, 1 / 3), atol=1e-14)
 
     def test_defining_property_on_random_chains(self):
         rng = np.random.default_rng(7)
@@ -124,12 +125,12 @@ class TestDirichletMatrix:
 class TestHarmonicExtensions:
     def test_k3_pair(self):
         basis = harmonic_extensions(k3(), (0, 1))
-        np.testing.assert_allclose(basis.matrix[:, 0], [1.0, 0.0, 0.5], atol=1e-14)
-        np.testing.assert_allclose(basis.matrix[:, 1], [0.0, 1.0, 0.5], atol=1e-14)
+        np.testing.assert_allclose(basis[:, 0], [1.0, 0.0, 0.5], atol=1e-14)
+        np.testing.assert_allclose(basis[:, 1], [0.0, 1.0, 0.5], atol=1e-14)
 
     def test_full_set_is_identity(self):
         basis = harmonic_extensions(k3(), (0, 1, 2))
-        np.testing.assert_allclose(basis.matrix, np.eye(3))
+        np.testing.assert_allclose(basis, np.eye(3))
 
     def test_partition_of_unity_random(self):
         rng = np.random.default_rng(17)
@@ -139,7 +140,7 @@ class TestHarmonicExtensions:
             for b in all_subsets_with_at_least(size, 1):
                 basis = harmonic_extensions(chain, b)
                 np.testing.assert_allclose(
-                    basis.matrix.sum(axis=1), 1.0, atol=1e-12
+                    basis.sum(axis=1), 1.0, atol=1e-12
                 )
 
     def test_defining_equations(self):
@@ -149,7 +150,7 @@ class TestHarmonicExtensions:
         a = subset_complement(6, b)
         basis = harmonic_extensions(chain, b)
         for k in b:
-            u = basis.matrix[:, b.index(k)]
+            u = basis[:, b.index(k)]
             for j in b:
                 assert u[j] == (1.0 if j == k else 0.0)
             lu = chain.generator @ u
@@ -173,8 +174,8 @@ class TestTraceRates:
 
     def test_k3_restricted_measure_invariant(self):
         trace = trace_rates(k3(), (0, 1))
-        np.testing.assert_allclose(trace.m_B, [1 / 3, 1 / 3])
-        np.testing.assert_allclose(trace.m_B @ trace.generator, 0.0, atol=TOL)
+        np.testing.assert_allclose(trace.m, [1 / 3, 1 / 3])
+        np.testing.assert_allclose(trace.m @ trace.generator, 0.0, atol=TOL)
 
     def test_subset_too_small(self):
         with pytest.raises(SubsetTooSmallError):
@@ -194,10 +195,29 @@ class TestTraceRates:
                 assert np.all(trace.holding <= chain.holding[list(b)] + TOL)
 
 
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 6))
+def test_trace_of_trace_is_trace(seed, size):
+    # A trace chain is a chain, so it has traces of its own: watching
+    # the trace on B only while on B' inside B is watching the chain on
+    # B'.  Sites of B' are re-indexed by their position in B.
+    chain = random_irreducible_chain(np.random.default_rng(seed), size)
+    tol = 1e-13 * chain.holding.max()
+    for b in all_subsets_with_at_least(size, 3):
+        outer = trace_rates(chain, b)
+        for b2 in all_subsets_with_at_least(size, 2):
+            if not set(b2) <= set(b):
+                continue
+            inner = trace_rates(outer, [b.index(j) for j in b2])
+            direct = trace_rates(chain, b2)
+            np.testing.assert_allclose(inner.rates, direct.rates, rtol=0, atol=tol)
+            assert np.array_equal(inner.m, direct.m)
+
+
 def upsilon(chain, b):
     """The projection Upsilon_B onto the B-simplex: the transposed
     harmonic basis."""
-    return harmonic_extensions(chain, b).matrix.T
+    return harmonic_extensions(chain, b).T
 
 
 class TestUpsilonMap:
@@ -216,7 +236,7 @@ class TestUpsilonMap:
         v0 = chain.generator[0]
         np.testing.assert_allclose(ups @ v0, [-1.5, 1.5], atol=1e-14)
         trace = trace_rates(chain, (0, 1))
-        np.testing.assert_allclose(ups @ v0, trace.drift_vectors[0], atol=1e-14)
+        np.testing.assert_allclose(ups @ v0, trace.generator[0], atol=1e-14)
 
     def test_maps_simplex_to_simplex(self):
         rng = np.random.default_rng(29)
@@ -250,9 +270,9 @@ class TestChainIdentities:
             basis = harmonic_extensions(chain, b)
             trace = trace_rates(chain, b)
             for ki, k in enumerate(b):
-                lu = chain.generator @ basis.matrix[:, ki]
+                lu = chain.generator @ basis[:, ki]
                 np.testing.assert_allclose(
-                    trace.drift_vectors[:, ki], lu[list(b)], atol=TOL
+                    trace.generator[:, ki], lu[list(b)], atol=TOL
                 )
 
     def test_projection_intertwines_drifts(self, cases):
@@ -261,7 +281,7 @@ class TestChainIdentities:
             trace = trace_rates(chain, b)
             for ji, j in enumerate(b):
                 np.testing.assert_allclose(
-                    ups @ chain.generator[j], trace.drift_vectors[ji], atol=TOL
+                    ups @ chain.generator[j], trace.generator[ji], atol=TOL
                 )
 
     def test_projection_kills_complement_drifts(self, cases):
@@ -273,12 +293,12 @@ class TestChainIdentities:
     def test_restricted_measure_invariant(self, cases):
         for chain, b in cases:
             trace = trace_rates(chain, b)
-            np.testing.assert_allclose(trace.m_B @ trace.generator, 0.0, atol=TOL)
+            np.testing.assert_allclose(trace.m @ trace.generator, 0.0, atol=TOL)
 
     def test_trace_dirichlet_psd(self, cases):
         for chain, b in cases:
             trace = trace_rates(chain, b)
-            eig = np.linalg.eigvalsh(trace.dirichlet)
+            eig = np.linalg.eigvalsh(dirichlet_matrix(trace))
             assert eig.min() >= -TOL
             # Kernel on the zero-sum hyperplane is trivial: only one
             # eigenvalue (the constants) may vanish.

@@ -172,6 +172,16 @@ class TestVerify:
         manifest = json.loads((out / "run_manifest_verify.json").read_text())
         assert all(manifest["checks"].values())
 
+    def test_one_path_fails_hitting_bound(self, tmp_path):
+        # One sigma1 sample has no confidence interval, so the bound
+        # cannot be checked and the row fails instead of passing on NaN.
+        cfg, out = write_config(tmp_path, paths=1)
+        assert main(["verify", str(cfg)]) == 1
+        _, rows = read_rows(out / "verify_report.csv")
+        checks = {r[0]: r for r in rows}
+        assert checks["hitting_bound"][-1] == "false"
+        assert all(r[-1] == "true" for name, r in checks.items() if name != "hitting_bound")
+
     def test_exit_codes_for_bad_configs(self, tmp_path):
         missing = tmp_path / "nope.yaml"
         assert main(["verify", str(missing)]) == 2

@@ -28,7 +28,7 @@ from condensim.errors import (
     ZeroCoordinateError,
 )
 
-from _chains import k3, random_irreducible_chain, ring8
+from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring8
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -138,7 +138,7 @@ class TestNoiseBasis:
                 off = np.ones(chain.size, dtype=bool)
                 off[members] = False
                 np.testing.assert_allclose(
-                    outer[np.ix_(members, members)], 2 * trace.dirichlet, atol=1e-12
+                    outer[np.ix_(members, members)], 2 * dirichlet_matrix(trace), atol=1e-12
                 )
                 np.testing.assert_allclose(faces.noise_diag[mask], np.diag(outer), atol=1e-12)
                 np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-12)
@@ -171,7 +171,7 @@ class TestNoiseBasis:
         assert np.all(incr[:, 3] == 0.0)
         cov = incr.T @ incr / (n * dt)
         want = np.zeros((5, 5))
-        want[np.ix_(members, members)] = 2 * trace_rates(chain, members).dirichlet
+        want[np.ix_(members, members)] = 2 * dirichlet_matrix(trace_rates(chain, members))
         diag = np.diag(want)
         stderr = np.sqrt((np.outer(diag, diag) + want**2) / n)
         ix = np.ix_(members, members)
@@ -216,11 +216,15 @@ class TestEmStep:
 
 class TestSimulate:
     def test_vertex_start_trapped_immediately(self):
-        config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
-        ens = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1)
-        assert ens.trapped_vertex[0] == 0
-        assert ens.trapped_time[0] == 0.0
-        assert ens.events[0] == []
+        # A vertex start has condensed at time zero when a threshold is
+        # set; without one t_cond is NaN, as on every other run.
+        for cond_delta, t_cond in ((None, np.nan), (0.1, 0.0)):
+            config = DiffusionConfig(chain=k3(), b=1.5, seed=3, cond_delta=cond_delta)
+            ens = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1)
+            assert ens.trapped_vertex[0] == 0
+            assert ens.trapped_time[0] == 0.0
+            assert ens.events[0] == []
+            np.testing.assert_array_equal(ens.t_cond, [t_cond])
 
     def test_non_simplex_start_rejected(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
@@ -417,10 +421,32 @@ def test_face_table_factors_every_face(seed, size):
         trace = trace_rates(chain, members)
         assert np.all(trace.rates >= 0), members
         f = faces.noise_f[mask][members]
-        want = 2 * trace.dirichlet
+        want = 2 * dirichlet_matrix(trace)
         tol = 1e-12 * np.abs(want).max()
         np.testing.assert_allclose(f @ f.T, want, rtol=0, atol=tol)
         np.testing.assert_allclose(f.sum(axis=0), 0.0, rtol=0, atol=tol)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 6))
+def test_face_table_of_trace_is_restriction(seed, size):
+    # The diffusion on a face of B is the face diffusion of the trace
+    # chain on B: the face table built from the trace agrees, face by
+    # face, with the full table restricted to the sites of B.
+    chain = random_irreducible_chain(np.random.default_rng(seed), size)
+    faces = FaceTable(chain)
+    tol = 1e-13 * chain.holding.max()
+    for b in all_subsets_with_at_least(size, 3):
+        sub = FaceTable(trace_rates(chain, b))
+        ix = np.ix_(b, b)
+        for sub_mask in range(1, 1 << len(b)):
+            mask = sum(1 << j for i, j in enumerate(b) if sub_mask >> i & 1)
+            assert np.array_equal(sub.active[sub_mask], faces.active[mask][list(b)])
+            np.testing.assert_allclose(
+                sub.drift_v[sub_mask], faces.drift_v[mask][ix], rtol=0, atol=tol
+            )
+            f, g = sub.noise_f[sub_mask], faces.noise_f[mask][list(b)]
+            np.testing.assert_allclose(f @ f.T, g @ g.T, rtol=0, atol=tol)
 
 
 @settings(max_examples=50)

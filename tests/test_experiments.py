@@ -11,8 +11,8 @@ from condensim.errors import (
     MismatchedChainsError,
 )
 from condensim.experiments import (
-    MomentAccumulator,
     _lattice_points,
+    _mean_stderr,
     compare_winner,
     ks_distance,
     martingale_residual,
@@ -27,24 +27,14 @@ from condensim.experiments import (
 from _chains import asym3, k3
 
 
-class TestMomentAccumulator:
+class TestMeanStderr:
     def test_matches_numpy(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal(500)
-        acc = MomentAccumulator().add(values)
-        assert acc.mean == pytest.approx(values.mean(), abs=1e-12)
-        assert acc.variance == pytest.approx(values.var(ddof=1), abs=1e-12)
-
-    def test_merge_is_split_invariant(self):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(301)
-        whole = MomentAccumulator().add(values)
-        pieces = MomentAccumulator()
-        for chunk in np.array_split(values, 7):
-            pieces = pieces.merge(MomentAccumulator().add(chunk))
-        assert pieces.n == whole.n
-        assert pieces.mean == pytest.approx(whole.mean, abs=1e-12)
-        assert pieces.m2 == pytest.approx(whole.m2, rel=1e-12)
+        mean, stderr, n = _mean_stderr(values)
+        assert n == 500
+        assert mean == pytest.approx(values.mean(), abs=1e-12)
+        assert stderr == pytest.approx(values.std(ddof=1) / np.sqrt(500), abs=1e-12)
 
 
 class TestWinnerDistribution:
@@ -119,6 +109,14 @@ class TestR06:
         check = hitting_bound_check(
             k3(), (0, 1, 2), b=1.5, q=2.0, sigma1_samples=np.full(10_000, 50.0)
         )
+        assert check.violated
+
+    def test_one_sample_is_violated(self):
+        # One sample has no confidence interval: the check cannot pass,
+        # however far below the bound the sample lies.
+        check = hitting_bound_check(k3(), (0, 1, 2), b=1.5, q=2.0, sigma1_samples=[0.01])
+        assert check.n_samples == 1
+        assert np.isnan(check.ci_halfwidth)
         assert check.violated
 
 

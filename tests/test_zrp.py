@@ -11,7 +11,7 @@ from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
 from condensim.zrp import (
     G_FAMILIES,
     ZrpConfig,
-    jump_rate_g,
+    _g_table,
     simulate_zrp_ensemble,
     zrp_generator_apply,
 )
@@ -25,28 +25,30 @@ def two_site():
 
 
 class TestJumpRate:
+    """Entries g_j(n) of the departure-rate table, row j, column n."""
+
     def test_default_family_value(self, two_site):
-        g = jump_rate_g(0, 2, two_site.m, b=1.5)
+        g = _g_table(two_site, 1.5, "default", 0.0, 2)[0, 2]
         assert g == pytest.approx(0.875, abs=1e-15)
 
     def test_empty_site_never_jumps(self, two_site):
-        for family in ("default", "corrected"):
-            assert jump_rate_g(0, 0, two_site.m, b=1.5, family=family) == 0.0
+        for family in G_FAMILIES:
+            assert np.all(_g_table(two_site, 1.5, family, 1.0, 3)[:, 0] == 0.0)
 
     def test_tail_approaches_measure(self, two_site):
         n = np.array([1, 10, 1000, 10**6])
-        g = jump_rate_g(1, n, two_site.m, b=2.0)
+        g = _g_table(two_site, 2.0, "default", 0.0, 10**6)[1, n]
         m1 = two_site.m[1]
         assert np.all(np.abs(g - m1) <= m1 * 2.0 / n + 1e-15)
 
     def test_finite_n_identity(self, two_site):
         # n (g(n)/m - 1) = b exactly for the default family.
         n = np.arange(1, 50)
-        g = jump_rate_g(0, n, two_site.m, b=1.7)
+        g = _g_table(two_site, 1.7, "default", 0.0, 49)[0, n]
         np.testing.assert_allclose(n * (g / two_site.m[0] - 1.0), 1.7, atol=1e-12)
 
     def test_corrected_family(self, two_site):
-        g = jump_rate_g(0, 2, two_site.m, b=1.5, family="corrected", correction=1.0)
+        g = _g_table(two_site, 1.5, "corrected", 1.0, 2)[0, 2]
         assert g == pytest.approx(0.5 * (1 + 0.75 + 0.25), abs=1e-15)
 
 
@@ -89,6 +91,8 @@ class TestSimulate:
         ens = simulate_zrp_ensemble(config, [30, 0, 0], 1)
         assert ens.t_cond[0] == 0.0
         assert ens.winner[0] == 0
+        # Stopped at time zero before any jump.
+        np.testing.assert_array_equal(ens.first_event, [np.nan])
 
     def test_conservation_along_path(self):
         times = tuple(np.linspace(0.0, 0.2, 41))
@@ -132,7 +136,7 @@ class TestSimulate:
         chain = k3()
         config = ZrpConfig(chain=chain, n_particles=1, b=1.5, seed=11, horizon=1e-9)
         ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths=100_000)
-        g1 = jump_rate_g(0, 1, chain.m, b=1.5)
+        g1 = _g_table(chain, 1.5, "default", 0.0, 1)[0, 1]
         rate = g1 * chain.holding[0]
         mean = ens.first_event.mean()
         se = ens.first_event.std(ddof=1) / np.sqrt(ens.n_paths)

@@ -116,7 +116,7 @@ def validate_chain(
     ChainValidationError, ReducibleChainError, NotInvariantError,
     NonPositiveMeasureError
     """
-    r = np.asarray(rates, dtype=float)
+    r = np.array(rates, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ChainValidationError(f"rate matrix must be square, got shape {r.shape}")
     if r.shape[0] < 2:

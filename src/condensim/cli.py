@@ -127,6 +127,16 @@ def _zrp_config(config: RunConfig, n: int, seed: int) -> ZrpConfig:
     )
 
 
+def _sample_rows(ens, masks=None) -> list[tuple]:
+    """CSV rows ``(path, t, x_1..x_L[, mask])`` of the filled (not NaN)
+    samples, path by path and in time order within a path."""
+    rows = []
+    for i, ti in zip(*np.nonzero(~np.isnan(ens.samples).any(axis=2))):
+        extra = () if masks is None else (int(masks[i, ti]),)
+        rows.append((int(i), float(ens.times[ti]), *ens.samples[i, ti], *extra))
+    return rows
+
+
 def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
     size = chain.size
@@ -165,17 +175,10 @@ def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
         zc = _zrp_config(config, n, manifest.seed)
         ens = simulate_zrp_ensemble(zc, _eta0(config, size, n), exp.paths)
         if ens.samples is not None:
-            rows = []
-            for i in range(exp.paths):
-                for ti, t in enumerate(ens.times):
-                    point = ens.samples[i, ti]
-                    if np.any(np.isnan(point)):
-                        continue
-                    rows.append((i, float(t), *point))
             write_csv(
                 outdir / f"zrp_samples_N{n}.csv",
                 ["path_id", "t", *_site_cols(size)],
-                rows,
+                _sample_rows(ens),
             )
         cond_rows = [
             (
@@ -201,17 +204,10 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
     ens = simulate_diffusion_ensemble(dc, x0, exp.paths)
     size = dc.chain.size
     if ens.samples is not None:
-        rows = []
-        for i in range(exp.paths):
-            for ti, t in enumerate(ens.times):
-                point = ens.samples[i, ti]
-                if np.any(np.isnan(point)):
-                    continue
-                rows.append((i, float(t), *point, int(ens.sample_masks[i, ti])))
         write_csv(
             outdir / "diff_samples.csv",
             ["path_id", "t", *_site_cols(size), "active_B"],
-            rows,
+            _sample_rows(ens, ens.sample_masks),
         )
     abs_rows = []
     for i in range(exp.paths):

@@ -21,7 +21,6 @@ regardless of batching.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .errors import (
     StepBlowupError,
     ZeroCoordinateError,
 )
-from .rng import PathStreams, derive_seed
+from .rng import PathStreams, check_window, derive_seed, due_samples
 
 # Hyperplane drift tolerance: increments sum to zero analytically, so
 # any larger deviation signals a step-size blowup.
@@ -78,14 +77,8 @@ class DiffusionConfig:
             raise ConfigRangeError("noise_scale must be in [0, 1]")
         if self.dt_rule not in ("clamped", "quadratic"):
             raise ConfigRangeError(f"unknown dt rule {self.dt_rule!r}")
-        if not (self.horizon is None or math.isfinite(self.horizon)):
-            raise ConfigRangeError(f"horizon = {self.horizon} must be finite")
-        if not math.isfinite(self.t_max):
-            raise ConfigRangeError(f"t_max = {self.t_max} must be finite")
-        st = np.asarray(self.sample_times, dtype=float)
-        if not np.all(np.diff(st) > 0):
-            raise ConfigRangeError("sample_times must be strictly increasing")
-        object.__setattr__(self, "sample_times", tuple(st.tolist()))
+        times = check_window(self.horizon, self.t_max, self.sample_times)
+        object.__setattr__(self, "sample_times", times)
         if not self.b > 1.0:
             if not self.allow_small_b:
                 raise ConfigRangeError(
@@ -241,8 +234,9 @@ def simulate_diffusion_ensemble(
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size
-    run_to_trap = config.horizon is None
-    end_time = config.t_max if run_to_trap else config.horizon
+    grid = np.append(sample_times, np.inf)
+    end_time = config.t_max if config.horizon is None else config.horizon
+    end_bound = np.nextafter(end_time, np.inf)  # the end is inclusive
     cond_level = None if config.cond_delta is None else 1.0 - config.cond_delta
 
     sigma1 = np.full(n_paths, np.nan)
@@ -262,28 +256,21 @@ def simulate_diffusion_ensemble(
     if cond_level is not None and x0.max() >= cond_level:
         t_cond[:] = 0.0
 
-    def flush(row: int, value: np.ndarray, mask: int) -> None:
-        while next_samp[row] < n_samp and sample_times[next_samp[row]] <= end_time:
-            samples[ids[row], next_samp[row]] = value
-            sample_masks[ids[row], next_samp[row]] = mask
-            next_samp[row] += 1
-
-    if faces.popcount[mask0] == 1:
+    at_vertex = faces.popcount[mask0] == 1
+    if n_samp:
+        # The start stands for t = 0, and a vertex start for the whole run.
+        n_start = np.searchsorted(sample_times, end_time if at_vertex else 0.0, side="right")
+        samples[:, :n_start] = x0
+        sample_masks[:, :n_start] = mask0
+        next_samp[:] = n_start
+    if at_vertex:
         # Started at a vertex: trapped forever at time zero.
         trapped_vertex[:] = mask0.bit_length() - 1
         trapped_time[:] = 0.0
-        if n_samp:
-            for row in range(n_paths):
-                flush(row, x0, mask0)
         return DiffusionEnsemble(
             config, x0, n_paths, sample_times, samples, sample_masks,
             sigma1, trapped_vertex, trapped_time, t_cond, events,
         )
-
-    if n_samp and sample_times[0] == 0.0:
-        samples[:, 0] = x0
-        sample_masks[:, 0] = mask0
-        next_samp[:] = 1
 
     streams = PathStreams(
         derive_seed(config.seed, "diffusion"),
@@ -304,18 +291,12 @@ def simulate_diffusion_ensemble(
         if config.dt_rule == "clamped":
             # Keep both |drift| dt and the noise std within a fraction
             # of every active coordinate: the quadratic rule alone does
-            # not bound the relative move at desk-scale dt_base.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cap_d = np.where(
-                    np.abs(drift_vec) > 0, eta * xa / np.abs(drift_vec), np.inf
-                ).min(axis=1)
-                if ns2 > 0:
-                    diag = faces.noise_diag[masks]
-                    cap_n = np.where(
-                        diag > 0, (eta * xa) ** 2 / (ns2 * diag), np.inf
-                    ).min(axis=1)
-                else:
-                    cap_n = np.inf
+            # not bound the relative move at desk-scale dt_base.  A zero
+            # drift or noise entry divides to an infinite cap, and off
+            # the face xa is infinite, so neither cap binds there.
+            with np.errstate(divide="ignore"):
+                cap_d = (eta * xa / np.abs(drift_vec)).min(axis=1)
+                cap_n = ((eta * xa) ** 2 / (ns2 * faces.noise_diag[masks])).min(axis=1)
             dt = np.minimum(dt, np.minimum(cap_d, cap_n))
 
         xi = None
@@ -346,21 +327,16 @@ def simulate_diffusion_ensemble(
             if crossed.any():
                 t_cond[ids[crossed]] = t_new[crossed]
 
-        # Sample emission: post-step state stands for times in (t, t_new],
-        # never past the configured horizon.
-        if n_samp:
-            while True:
-                pending = next_samp < n_samp
-                idx = np.minimum(next_samp, n_samp - 1)
-                pending &= sample_times[idx] <= np.minimum(t_new, end_time)
-                if not pending.any():
-                    break
-                pr = np.nonzero(pending)[0]
-                samples[ids[pr], next_samp[pr]] = x_new[pr]
-                sample_masks[ids[pr], next_samp[pr]] = masks[pr]
-                next_samp[pr] += 1
-
         trapped = faces.popcount[masks] == 1
+        if n_samp:
+            # The post-step state stands for times in (t, t_new], never
+            # past the end; a trapped vertex stands for the rest of it.
+            bound = np.nextafter(np.minimum(t_new, end_time), np.inf)
+            bound[trapped] = end_bound
+            rows, slots = due_samples(grid, next_samp, bound)
+            samples[ids[rows], slots] = x_new[rows]
+            sample_masks[ids[rows], slots] = masks[rows]
+
         if trapped.any():
             for row in np.nonzero(trapped)[0]:
                 pid = int(ids[row])
@@ -368,10 +344,6 @@ def simulate_diffusion_ensemble(
                 trapped_time[pid] = t_new[row]
                 if np.isnan(t_cond[pid]) and cond_level is not None:
                     t_cond[pid] = t_new[row]
-                if n_samp:
-                    # Trapped forever: the vertex stands for the rest of
-                    # the grid.
-                    flush(row, x_new[row], int(masks[row]))
 
         retire = trapped | (t_new >= end_time)
         x = x_new

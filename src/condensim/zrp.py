@@ -15,7 +15,6 @@ results are independent of batching and bit-reproducible per
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import BadInitialError, ConfigRangeError, NotLatticeError
-from .rng import PathStreams, derive_seed
+from .rng import PathStreams, check_window, derive_seed, due_samples
 
 G_FAMILIES = ("default", "corrected")
 
@@ -74,14 +73,8 @@ class ZrpConfig:
             raise ConfigRangeError("need at least one particle")
         if not 0.0 < self.delta < 1.0:
             raise ConfigRangeError("condensation threshold delta must be in (0, 1)")
-        if not (self.horizon is None or math.isfinite(self.horizon)):
-            raise ConfigRangeError(f"horizon = {self.horizon} must be finite")
-        if not math.isfinite(self.t_max):
-            raise ConfigRangeError(f"t_max = {self.t_max} must be finite")
-        st = np.asarray(self.sample_times, dtype=float)
-        if not np.all(np.diff(st) > 0):
-            raise ConfigRangeError("sample_times must be strictly increasing")
-        object.__setattr__(self, "sample_times", tuple(st.tolist()))
+        times = check_window(self.horizon, self.t_max, self.sample_times)
+        object.__setattr__(self, "sample_times", times)
         if self.g_family not in G_FAMILIES:
             raise ConfigRangeError(f"unknown g family {self.g_family!r}")
         if self.b <= 1.0:
@@ -165,9 +158,10 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     r_edge = chain.rates[src, dst]
     cond_level = (1.0 - config.delta) * n
     scale = float(n) * n  # micro time per macro unit
-    sample_micro = np.asarray(config.sample_times, dtype=float) * scale
-    n_samp = sample_micro.size
+    n_samp = len(config.sample_times)
+    grid = np.append(np.asarray(config.sample_times) * scale, np.inf)
     end_micro = (config.horizon if config.horizon is not None else config.t_max) * scale
+    end_bound = np.nextafter(end_micro, np.inf)  # the end is inclusive
     stop_on_condensation = config.horizon is None
 
     t_cond = np.full(n_paths, np.nan)
@@ -234,27 +228,15 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
             first_event[:] = t_new / scale
             first_pass = False
 
-        # The pre-jump state is the path value on [t, t_new).
-        if n_samp:
-            while True:
-                pending = next_samp < n_samp
-                idx = np.minimum(next_samp, n_samp - 1)
-                pending &= sample_micro[idx] < np.minimum(t_new, end_micro)
-                if not pending.any():
-                    break
-                pr = np.nonzero(pending)[0]
-                samples[ids[pr], next_samp[pr]] = eta[:, pr].T / n
-                next_samp[pr] += 1
-
         # NaN-safe: a NaN clock retires its path instead of running forever.
         done = ~(t_new < end_micro)
         any_done = done.any()
-        if any_done and n_samp:
-            # Retiring paths hold their pre-jump state up to the horizon.
-            for p in np.nonzero(done)[0]:
-                while next_samp[p] < n_samp and sample_micro[next_samp[p]] <= end_micro:
-                    samples[ids[p], next_samp[p]] = eta[:, p] / n
-                    next_samp[p] += 1
+        if n_samp:
+            # The pre-jump state is the path value on [t, t_new); a
+            # retiring path holds it up to the end.
+            bound = np.where(done, end_bound, t_new) if any_done else t_new
+            rows, slots = due_samples(grid, next_samp, bound)
+            samples[ids[rows], slots] = eta[:, rows].T / n
 
         # Jump on every column; retiring columns are dropped below unread.
         edge = (cum < u[:, 1] * total).sum(axis=0)

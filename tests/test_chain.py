@@ -67,6 +67,14 @@ class TestValidateChain:
         with pytest.raises(Exception):
             validate_chain(rates)
 
+    def test_caller_array_stays_writable(self):
+        # The chain freezes its own copy, never the caller's matrix.
+        r = np.array([[0.0, 1.0], [2.0, 0.0]])
+        chain = validate_chain(r)
+        r[0, 1] = 3.0
+        assert chain.rates is not r
+        assert chain.rates[0, 1] == 1.0
+
 
 class TestInvariantMeasure:
     def test_k3(self):

@@ -203,6 +203,7 @@ class TestVerify:
             )),
             "nan-horizon": ("compare", base.replace("delta: 0.05", exp + "horizon: .nan")),
             "decreasing-times": ("zrp-run", base.replace("times: []", "times: [0.1, 0.05]")),
+            "negative-time": ("diff-run", base.replace("times: []", "times: [-0.1, 0.0, 0.05]")),
             "negative-rate": ("zrp-run", base.replace("b: 1.5", corrected + "-10.0")),
             "nan-eta0": ("zrp-run", base.replace("delta: 0.05", exp + "eta0: [4, 4, .nan]")),
             "fractional-subset": ("chain-info", base.replace("subset: [1, 2]", "subset: [1.5, 2]")),

@@ -488,6 +488,67 @@ def test_horizon_runs_are_consistent(seed, size, n_paths):
     assert ens.events[:k] == head.events
 
 
+def test_sample_at_a_step_time_is_that_steps_state(two_site):
+    # Far from the boundary the quadratic rule takes dt = dt_base, a
+    # power of two, so step k ends exactly at k * dt_base.  The state
+    # after a step stands for (t, t_new]: a sample at 3 dt_base is the
+    # state after step 3, not after step 4.
+    h = 2.0**-12
+    config = DiffusionConfig(
+        chain=two_site, b=1.5, seed=0, noise_scale=0.0, dt_rule="quadratic",
+        dt_base=h, horizon=8 * h, sample_times=(3 * h,),
+    )
+    ens = simulate_diffusion_ensemble(config, [0.25, 0.75], 1)
+    faces, masks = FaceTable(two_site), np.array([0b11])
+    x, t = np.array([[0.25, 0.75]]), np.zeros(1)
+    for _ in range(3):
+        _, v = drift(faces, masks, x, two_site.m, 1.5)
+        x, t = em_step(faces, masks, np.arange(1), x, t, v, np.full(1, h), None, 0.0)
+    assert t[0] == 3 * h
+    np.testing.assert_array_equal(ens.samples[0, 0], x[0])
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 5),
+    to_horizon=st.booleans(),
+)
+def test_sample_grid_changes_nothing_but_the_samples(seed, size, to_horizon):
+    # A grid reaching past the trap or the horizon leaves the rest of the
+    # run as it is, fills every slot up to the end, and every slot from
+    # the trap on holds the vertex.
+    rng = np.random.default_rng(seed)
+    params = dict(
+        chain=random_irreducible_chain(rng, size), b=float(rng.uniform(1.5, 3.0)),
+        seed=seed, dt_base=4e-3, cond_delta=float(rng.uniform(0.05, 0.5)),
+        horizon=float(rng.uniform(0.005, 0.05)) if to_horizon else None,
+    )
+    end = params["horizon"] or DiffusionConfig(**params).t_max
+    grid = np.unique(rng.uniform(0.0, 2 * (params["horizon"] or 1.0), 8))
+    if not to_horizon:
+        grid = np.append(grid, 2 * end)
+    x0 = rng.dirichlet(np.ones(size))
+    plain = simulate_diffusion_ensemble(DiffusionConfig(**params), x0, 4)
+    ens = simulate_diffusion_ensemble(
+        DiffusionConfig(**params, sample_times=tuple(grid)), x0, 4
+    )
+    for a, b in (
+        (ens.sigma1, plain.sigma1), (ens.trapped_vertex, plain.trapped_vertex),
+        (ens.trapped_time, plain.trapped_time), (ens.t_cond, plain.t_cond),
+    ):
+        np.testing.assert_array_equal(a, b)
+    assert ens.events == plain.events
+    filled = ~np.isnan(ens.samples).any(axis=2)
+    np.testing.assert_array_equal(filled, np.broadcast_to(grid <= end, filled.shape))
+    for i, vertex in enumerate(ens.trapped_vertex):
+        if vertex < 0:
+            continue
+        after = filled[i] & (grid >= ens.trapped_time[i])
+        np.testing.assert_array_equal(ens.samples[i, after], np.eye(size)[[vertex] * after.sum()])
+        assert np.all(ens.sample_masks[i, after] == 1 << vertex)
+
+
 class TestSchemeAccuracy:
     def test_blowdown_error_first_order_in_dt(self, two_site):
         errors = []

@@ -166,6 +166,68 @@ def test_non_finite_horizons_rejected(two_site):
                 make(**bad)
 
 
+def test_negative_sample_times_rejected(two_site):
+    # No path has a state before t = 0 to report.
+    for make in (
+        lambda **kw: ZrpConfig(chain=two_site, n_particles=10, b=1.5, seed=0, **kw),
+        lambda **kw: DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw),
+    ):
+        with pytest.raises(ConfigRangeError, match=">= 0"):
+            make(sample_times=(-0.1, 0.1))
+
+
+def test_sample_at_a_jump_time_shows_the_jump():
+    # With N = 32 the time scale N^2 is a power of two, so the macroscopic
+    # first jump time maps back to the exact micro clock.  A path is
+    # right-continuous: a sample just before its first jump is the start,
+    # a sample at the jump is the state after it, unless the horizon ends
+    # the path there; then the start is held up to and at the horizon.
+    eta0 = np.array([11, 11, 10])
+    probe = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=3, horizon=0.01)
+    jump = simulate_zrp_ensemble(probe, eta0, 1).first_event[0]
+    grid = (np.nextafter(jump, 0.0), jump)
+    later = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=3, horizon=0.01, sample_times=grid)
+    before, at = simulate_zrp_ensemble(later, eta0, 1).samples[0]
+    np.testing.assert_array_equal(before, eta0 / 32)
+    assert np.abs(at - eta0 / 32).sum() * 32 == 2.0
+    ending = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=3, horizon=jump, sample_times=grid)
+    np.testing.assert_array_equal(simulate_zrp_ensemble(ending, eta0, 1).samples[0], [eta0 / 32] * 2)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 5),
+    n=st.integers(1, 20),
+    to_horizon=st.booleans(),
+)
+def test_sample_grid_changes_nothing_but_the_samples(seed, size, n, to_horizon):
+    # A grid reaching past the end of every path fills exactly the slots
+    # the path lives through and leaves the rest of the run as it is.
+    rng = np.random.default_rng(seed)
+    params = dict(
+        chain=random_irreducible_chain(rng, size), n_particles=n,
+        b=float(rng.uniform(1.5, 3.0)), seed=seed, delta=float(rng.uniform(0.1, 0.5)),
+        horizon=float(rng.uniform(0.005, 0.05)) if to_horizon else None,
+    )
+    span = params["horizon"] or 0.2
+    grid = np.unique(np.append(0.0, rng.uniform(0.0, 2 * span, 8)))
+    eta0 = rng.multinomial(n, np.full(size, 1.0 / size))
+    plain = simulate_zrp_ensemble(ZrpConfig(**params), eta0, 4)
+    ens = simulate_zrp_ensemble(ZrpConfig(**params, sample_times=tuple(grid)), eta0, 4)
+    for a, b in ((ens.t_cond, plain.t_cond), (ens.winner, plain.winner),
+                 (ens.first_event, plain.first_event)):
+        np.testing.assert_array_equal(a, b)
+    filled = ~np.isnan(ens.samples).any(axis=2)
+    if to_horizon:
+        want = np.broadcast_to(grid <= params["horizon"], filled.shape)
+    else:
+        # Stopped at the condensation record; a run condensed at the
+        # start reports its start at t = 0.
+        want = (grid < ens.t_cond[:, None]) | (grid == 0.0)
+    np.testing.assert_array_equal(filled, want)
+
+
 def _pinned_cases():
     grid = tuple(np.linspace(0.0, 0.05, 11))
     yield "k3-condense", ZrpConfig(chain=k3(), n_particles=200, b=1.5, seed=3), [67, 67, 66], 300

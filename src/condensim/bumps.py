@@ -29,6 +29,13 @@ def _psi_parts(u: np.ndarray):
     return psi, dpsi, d2psi
 
 
+def hole_product(values: np.ndarray, *skip: int) -> np.ndarray:
+    """Product over the last axis with the slots ``skip`` left out
+    (1 where no slot is left)."""
+    keep = [j for j in range(values.shape[-1]) if j not in skip]
+    return values[..., keep].prod(axis=-1)
+
+
 @dataclass(frozen=True)
 class BumpFunction:
     """H(x) = prod_j psi((x_j - c_j) / w_j).
@@ -61,28 +68,21 @@ class BumpFunction:
         psi, _, _ = self._parts(x)
         return psi.prod(axis=-1)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        psi, dpsi, _ = self._parts(x)
-        n = self.size
-        grad = np.empty_like(psi)
-        for i in range(n):
-            hole = [j for j in range(n) if j != i]
-            grad[..., i] = dpsi[..., i] * psi[..., hole].prod(axis=-1)
-        return grad
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
+    def derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient (..., L) and Hessian (..., L, L) of H at points (..., L)."""
         psi, dpsi, d2psi = self._parts(x)
         n = self.size
+        grad = np.empty_like(psi)
         hess = np.empty(psi.shape[:-1] + (n, n))
         for i in range(n):
-            hole_i = [j for j in range(n) if j != i]
-            hess[..., i, i] = d2psi[..., i] * psi[..., hole_i].prod(axis=-1)
+            hole_i = hole_product(psi, i)
+            grad[..., i] = dpsi[..., i] * hole_i
+            hess[..., i, i] = d2psi[..., i] * hole_i
             for k in range(i + 1, n):
-                hole_ik = [j for j in range(n) if j != i and j != k]
-                mixed = dpsi[..., i] * dpsi[..., k] * psi[..., hole_ik].prod(axis=-1)
+                mixed = dpsi[..., i] * dpsi[..., k] * hole_product(psi, i, k)
                 hess[..., i, k] = mixed
                 hess[..., k, i] = mixed
-        return hess
+        return grad, hess
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.value(x)

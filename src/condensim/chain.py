@@ -37,8 +37,8 @@ from .errors import (
 # Algebraic identities on well-conditioned dense systems of this size
 # hold to roughly machine precision; 1e-10 leaves two orders of slack.
 IDENTITY_TOL = 1e-10
-# Rows of the harmonic basis sum to 1 up to the roundoff of one dense
-# solve, far inside IDENTITY_TOL.
+# Rows of the harmonic basis sum to 1, and its entries lie in [0, 1], up
+# to the roundoff of one dense solve, far inside IDENTITY_TOL.
 UNITY_TOL = 1e-12
 
 
@@ -192,9 +192,11 @@ def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> np.ndarray:
     u_{B[i]} (B sorted): the unique function equal to the indicator of
     B[i] on B and annihilated by the generator off B.  Its entries are
     the hitting probabilities P_j[chain hits B at B[i]], so each row
-    sums to 1.  For B = S it is the identity.  Otherwise, with
-    A = B^c, each column solves (diag(lambda_A) - R_AA) u_A = R_AB e_k,
-    which is nonsingular for irreducible chains.
+    sums to 1: roundoff up to UNITY_TOL outside [0, 1] is clipped, and
+    anything beyond raises SingularSystemError.  For B = S it is the
+    identity.  Otherwise, with A = B^c, each column solves
+    (diag(lambda_A) - R_AA) u_A = R_AB e_k, which is nonsingular for
+    irreducible chains.
 
     The transpose is the projection Upsilon_B of the full simplex onto
     the B-simplex, with entry (k, j) = u_k(j): it maps points of the
@@ -213,7 +215,13 @@ def harmonic_extensions(chain: ChainSpec, B: Iterable[int]) -> np.ndarray:
             ua = np.linalg.solve(sys, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SingularSystemError(str(exc)) from exc
-        u[list(a), :] = ua
+        # NaN-safe: a NaN entry is outside by NaN and raises.
+        outside = np.maximum(ua - 1.0, -ua).max()
+        if not outside <= UNITY_TOL:
+            raise SingularSystemError(
+                f"hitting probabilities for {b} leave [0, 1] by {outside:.3e}"
+            )
+        u[list(a), :] = np.clip(ua, 0.0, 1.0)
     u.setflags(write=False)
     return u
 

@@ -376,12 +376,12 @@ def drift_field(chain: ChainSpec, b: float, x: np.ndarray) -> np.ndarray:
 def generator_apply(chain: ChainSpec, b: float, h, x: np.ndarray) -> np.ndarray:
     """Limit generator b(x) . grad H + Tr[a_s Hess H] at points x.
 
-    ``h`` must expose ``gradient`` and ``hessian`` (see
-    :class:`condensim.bumps.BumpFunction`).
+    ``h`` must expose ``derivatives(x) -> (grad, hess)``, the gradient
+    of shape (..., L) and the Hessian of shape (..., L, L) at points of
+    shape (..., L) (see :class:`condensim.bumps.BumpFunction`).
     """
     x = np.asarray(x, dtype=float)
-    grad = h.gradient(x)
-    hess = h.hessian(x)
+    grad, hess = h.derivatives(x)
     a_s = dirichlet_matrix(chain)
     first = (drift_field(chain, b, x) * grad).sum(axis=-1)
     second = np.einsum("jk,...jk->...", a_s, hess)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .bumps import BumpFunction
+from .bumps import BumpFunction, hole_product
 from .chain import (
     ChainSpec,
     dirichlet_matrix,
@@ -163,16 +163,6 @@ def hitting_bound_check(
     )
 
 
-def _hole_products(powers: np.ndarray) -> np.ndarray:
-    """prod over the last axis with one slot excluded, per slot."""
-    n = powers.shape[-1]
-    out = np.empty_like(powers)
-    for i in range(n):
-        hole = [j for j in range(n) if j != i]
-        out[..., i] = powers[..., hole].prod(axis=-1) if hole else 1.0
-    return out
-
-
 def superharmonic_expression(
     chain: ChainSpec, B, b: float, p: float, points: np.ndarray
 ) -> np.ndarray:
@@ -199,7 +189,8 @@ def superharmonic_expression(
     a_s = dirichlet_matrix(chain)
     m = chain.m
     pow_p1 = xa ** (p + 1.0)
-    hole1 = _hole_products(pow_p1)  # prod_{l != k} x_l^{p+1}
+    # prod_{l != k} x_l^{p+1}, per k
+    hole1 = np.stack([hole_product(pow_p1, k) for k in range(len(aset))], axis=-1)
 
     # term3: -(b - p) sum_{k in A} M_k x_k^{p-1} prod_{l != k} x_l^{p+1}
     m_diag = chain.embedded_weights[list(aset)]
@@ -216,8 +207,7 @@ def superharmonic_expression(
     if n_a >= 2:
         s_od = -a_s[np.ix_(aset, aset)]  # <S e_j, e_k>_m off-diagonal
         for ji, ki in itertools.permutations(range(n_a), 2):
-            others = [l for l in range(n_a) if l not in (ji, ki)]
-            prod = pow_p1[:, others].prod(axis=1) if others else 1.0
+            prod = hole_product(pow_p1, ji, ki)
             term1 -= (p + 1.0 - b) * s_od[ji, ki] * (xa[:, ji] ** p) * (xa[:, ki] ** p) * prod
     out = term1 + term2 + term3
     return out if np.asarray(points).ndim > 1 else out[0]
@@ -368,7 +358,7 @@ def generator_taylor_residual(
                            g_family=g_family, g_correction=g_correction)
         ln_h = zrp_generator_apply(config, h, pts)
         l_h = generator_apply(chain, b, h, pts)
-        hess = h.hessian(pts)
+        _, hess = h.derivatives(pts)
         hdiag = hess[..., hd_idx, hd_idx]
         # Delta_j H = sum_k r(j,k) (H_kk - 2 H_jk + H_jj)
         delta = (

@@ -100,9 +100,9 @@ class ZrpEnsemble:
 
 
 def _check_lattice(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    eta = np.rint(x * n)
-    if np.any(np.abs(x * n - eta) > 1e-9) or np.any(eta < 0):
+    xn = np.asarray(x, dtype=float) * n
+    eta = np.rint(xn)
+    if np.any(np.abs(xn - eta) > 1e-9) or np.any(eta < 0):
         raise NotLatticeError(f"point is not on the 1/{n} simplex lattice")
     if abs(eta.sum(axis=-1) - n).max() > 0:
         raise NotLatticeError("lattice point does not carry the full mass")
@@ -116,26 +116,42 @@ def zrp_generator_apply(config: ZrpConfig, h, x: np.ndarray):
 
     ``h`` is a callback taking arrays of shape (..., L); ``x`` may be a
     single lattice point or a batch.  Raises NotLatticeError off the
-    1/N lattice.
+    1/N lattice.  Rows are grouped by their occupancy vector eta = N x,
+    and ``h`` sees each distinct point eta / N and its neighbours once.
     """
     chain = config.chain
     n = config.n_particles
     x = np.asarray(x, dtype=float)
-    eta = _check_lattice(x, n)
+    rows = _check_lattice(x, n).reshape(-1, chain.size)
     h_fn = h.value if hasattr(h, "value") else h
+    # One integer key per row, in radix N + 1 (every digit lies in 0..N,
+    # as the row carries mass N).  Before a digit would overflow int64
+    # (once (N+1)^L >= 2^63) the key is replaced by its rank, so the key
+    # stays exact for every N and L.
+    key = np.zeros(len(rows), dtype=np.int64)
+    limit = (np.iinfo(np.int64).max - n) // (n + 1)
+    for digit in rows.T:
+        if key.max(initial=0) > limit:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * (n + 1) + digit
+    distinct, inverse = np.unique(key, return_inverse=True)
+    eta = np.empty((len(distinct), chain.size), dtype=np.int64)
+    eta[inverse] = rows  # rows with one key hold one occupancy vector
+    pts = eta / n
     src, dst = np.nonzero(chain.rates)
     r_edge = chain.rates[src, dst]
     table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
-    g = table.T[eta, np.arange(chain.size)]  # (..., L)
-    h0 = h_fn(x)
+    g = table.T[eta, np.arange(chain.size)]  # (D, L), D distinct points
+    h0 = h_fn(pts)
     shifts = np.zeros((len(src), chain.size))
     shifts[np.arange(len(src)), dst] += 1.0 / n
     shifts[np.arange(len(src)), src] -= 1.0 / n
-    # (..., E, L) batch of displaced points, one per directed edge.
-    moved = x[..., None, :] + shifts
-    dh = h_fn(moved) - h0[..., None]
-    rates = g[..., src] * r_edge
-    return n * n * (rates * dh).sum(axis=-1)
+    # (D, E, L) batch of displaced points, one per directed edge.
+    moved = pts[:, None, :] + shifts
+    dh = h_fn(moved) - h0[:, None]
+    rates = g[:, src] * r_edge
+    vals = n * n * (rates * dh).sum(axis=-1)
+    return vals[inverse].reshape(x.shape[:-1])
 
 
 def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:

@@ -18,6 +18,7 @@ from condensim.errors import (
     NonPositiveMeasureError,
     NotInvariantError,
     ReducibleChainError,
+    SingularSystemError,
     SubsetTooSmallError,
 )
 
@@ -167,6 +168,26 @@ class TestHarmonicExtensions:
     def test_empty_subset_rejected(self):
         with pytest.raises(BadSubsetError):
             harmonic_extensions(k3(), ())
+
+    @staticmethod
+    def _shift_solve(monkeypatch, error):
+        # K3 on (0, 1) hits each site from site 2 with probability 1/2;
+        # push those two entries out of [0, 1] by ``error``.
+        solve = np.linalg.solve
+        shift = np.array([[0.5 + error, -0.5 - error]])
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + shift)
+
+    def test_roundoff_outside_unit_interval_clipped(self, monkeypatch):
+        chain = k3()
+        self._shift_solve(monkeypatch, 1e-13)
+        np.testing.assert_array_equal(harmonic_extensions(chain, (0, 1))[2], [1.0, 0.0])
+
+    @pytest.mark.parametrize("error", [1e-9, np.nan])
+    def test_beyond_roundoff_raises(self, monkeypatch, error):
+        chain = k3()
+        self._shift_solve(monkeypatch, error)
+        with pytest.raises(SingularSystemError, match="leave"):
+            harmonic_extensions(chain, (0, 1))
 
 
 class TestTraceRates:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from condensim.chain import ChainSpec, dirichlet_matrix, trace_rates, validate_chain
+from condensim.chain import (
+    UNITY_TOL,
+    ChainSpec,
+    dirichlet_matrix,
+    harmonic_extensions,
+    trace_rates,
+    validate_chain,
+)
 from condensim.diffusion import (
     DiffusionConfig,
     FaceTable,
@@ -420,6 +427,10 @@ def test_face_table_factors_every_face(seed, size):
             continue
         trace = trace_rates(chain, members)
         assert np.all(trace.rates >= 0), members
+        # Hitting probabilities: 0 <= u <= 1 and each row sums to 1.
+        u = harmonic_extensions(chain, members)
+        assert np.all((u >= 0) & (u <= 1)), members
+        assert np.abs(u.sum(axis=1) - 1.0).max() <= UNITY_TOL, members
         f = faces.noise_f[mask][members]
         want = 2 * dirichlet_matrix(trace)
         tol = 1e-12 * np.abs(want).max()
@@ -605,8 +616,7 @@ class TestGeneratorApply:
         a_s = dirichlet_matrix(chain)
         vals = generator_apply(chain, 1.5, h, pts)
         for x, val in zip(pts, vals):
-            grad = h.gradient(x)
-            hess = h.hessian(x)
+            grad, hess = h.derivatives(x)
             first = drift_field(chain, 1.5, x) @ grad
             second = 0.0
             for j in range(4):
@@ -621,15 +631,12 @@ class TestGeneratorApply:
         # Reduction to one dimension: for H(x) = f(x_1) the second-order
         # part is (M_1 + M_2) / 2 * f''(x_1).
         class Quad:
-            def gradient(self, x):
+            def derivatives(self, x):
                 g = np.zeros_like(x)
                 g[..., 0] = 2 * x[..., 0]
-                return g
-
-            def hessian(self, x):
                 h = np.zeros(x.shape + (2,))
                 h[..., 0, 0] = 2.0
-                return h
+                return g, h
 
         m_sum = float(two_site.embedded_weights.sum())
         val = generator_apply(two_site, 1.5, Quad(), np.array([0.5, 0.5]))

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from condensim.bumps import BumpFunction
+from condensim.bumps import BumpFunction, standard_bumps
 from condensim.chain import dirichlet_matrix, validate_chain
-from condensim.diffusion import drift_field
+from condensim.diffusion import drift_field, generator_apply
 from condensim.errors import (
     BadExponentsError,
     EmptyRegionError,
@@ -23,6 +25,7 @@ from condensim.experiments import (
     generator_taylor_residual,
     winner_distribution,
 )
+from condensim.zrp import ZrpConfig, simulate_zrp_ensemble, zrp_generator_apply
 
 from _chains import asym3, k3
 
@@ -244,3 +247,40 @@ class TestMartingaleResidual:
         samples = np.full((2, 3, 3), np.nan)
         with pytest.raises(IncompletePathError):
             martingale_residual(samples, np.arange(3.0), h, lambda p: p.sum(-1))
+
+
+def _generator_cases():
+    grid = tuple(np.linspace(0.0, 0.15, 31))
+    yield "k3-N100", ZrpConfig(
+        chain=k3(), n_particles=100, b=1.5, seed=11, sample_times=grid, horizon=0.15,
+    ), [34, 33, 33], 200
+    yield "asym3-corrected", ZrpConfig(
+        chain=asym3(), n_particles=60, b=1.8, seed=12, g_family="corrected",
+        g_correction=0.7, sample_times=grid, horizon=0.15,
+    ), [20, 25, 15], 150
+
+
+# Taken before the generators learned to skip repeated work; the values
+# must not move by a single bit.
+GENERATOR_PINNED = {
+    "k3-N100": "cefa594340c8425b8f8923cf6c0503716242067547349d42f77076911f49cd30",
+    "asym3-corrected": "8d9751c16a8c39c6efd20fa559bd53d5b3fb874397ba472847b986345a14223b",
+}
+
+
+def test_generator_values_pinned():
+    # SHA-256 of both generators applied to the three standard bumps on
+    # seeded (paths, T, L) ZRP sample arrays, which repeat lattice points.
+    got = {}
+    for name, config, eta0, paths in _generator_cases():
+        samples = simulate_zrp_ensemble(config, eta0, paths).samples
+        digest = hashlib.sha256()
+        for h in standard_bumps(3, collar=4e-4):
+            for vals in (
+                zrp_generator_apply(config, h, samples),
+                generator_apply(config.chain, config.b, h, samples),
+            ):
+                assert vals.shape == samples.shape[:-1]
+                digest.update(np.ascontiguousarray(vals).tobytes())
+        got[name] = digest.hexdigest()
+    assert got == GENERATOR_PINNED

@@ -70,14 +70,66 @@ class TestGeneratorApply:
             zrp_generator_apply(config, lambda x: x[..., 0], [0.5, 0.5])
 
     def test_batch_evaluation(self):
+        # A (paths, T, L) batch with repeated rows gives exactly the
+        # point-by-point values, and h sees each distinct point and each
+        # of its neighbours once.
         chain = k3()
-        config = ZrpConfig(chain=chain, n_particles=10, b=1.5, seed=0)
-        pts = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-        vals = zrp_generator_apply(config, lambda x: x[..., 1] ** 2, pts)
+        n = 10
+        config = ZrpConfig(chain=chain, n_particles=n, b=1.5, seed=0)
+        rng = np.random.default_rng(21)
+        distinct = np.unique(rng.multinomial(n, np.full(3, 1 / 3), size=12), axis=0)
+        eta = distinct[rng.integers(0, len(distinct), size=(4, 6))]
+        eta[0, 0] = eta[3, 5]  # at least one repeat
+        pts = eta / n
+        seen = []
+
+        def h(x):
+            seen.extend(map(tuple, np.rint(x * n).astype(np.int64).reshape(-1, 3)))
+            return x[..., 1] ** 2
+
+        vals = zrp_generator_apply(config, h, pts)
+        used = np.unique(eta.reshape(-1, 3), axis=0)
+        src, dst = np.nonzero(chain.rates)
+        expected = [tuple(e) for e in used]
+        for e in used:
+            for j, k in zip(src, dst):
+                moved = e.copy()
+                moved[j] -= 1
+                moved[k] += 1
+                expected.append(tuple(moved))
+        assert sorted(seen) == sorted(expected)
+
         singles = [
-            zrp_generator_apply(config, lambda x: x[..., 1] ** 2, p) for p in pts
+            zrp_generator_apply(config, lambda x: x[..., 1] ** 2, p)
+            for p in pts.reshape(-1, 3)
         ]
-        np.testing.assert_allclose(vals, singles)
+        assert vals.shape == (4, 6)
+        assert np.array_equal(vals, np.reshape(singles, (4, 6)))
+
+    @pytest.mark.parametrize("size, n", [(20, 10), (18, 15)])
+    def test_wide_chain_beyond_integer_keys(self, size, n):
+        # (N+1)^L > 2^63: the rows are still told apart exactly.  At
+        # N + 1 = 16, L = 18 the first two digits weigh 2^68 and 2^64, so
+        # a key left to wrap around in int64 would merge rows 0 and 1.
+        rng = np.random.default_rng(22)
+        assert (n + 1) ** size > 2**63
+        chain = random_irreducible_chain(rng, size)
+        config = ZrpConfig(chain=chain, n_particles=n, b=1.5, seed=0)
+        weights = rng.random(size)
+        eta = rng.multinomial(n, np.full(size, 1 / size), size=30)
+        eta[:2] = 0
+        eta[:2, -1] = n - 1
+        eta[0, 0] = eta[1, 1] = 1
+        rows = rng.integers(0, 30, size=(5, 9))
+        rows[0, :2] = [0, 1]
+        pts = eta[rows] / n
+
+        def h(x):
+            return (weights * x**2).sum(axis=-1)
+
+        vals = zrp_generator_apply(config, h, pts)
+        singles = [zrp_generator_apply(config, h, p) for p in pts.reshape(-1, size)]
+        assert np.array_equal(vals, np.reshape(singles, (5, 9)))
 
 
 class TestSimulate:

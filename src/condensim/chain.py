@@ -108,7 +108,7 @@ def validate_chain(
     of m^T G = 0, normalized to sum 1.  Normalization to a probability
     vector is a convention of this artifact; identities that are
     homogeneous in m do not depend on it.  A supplied ``m`` is accepted
-    unnormalized but must be strictly positive and invariant:
+    unnormalized but must be finite, strictly positive and invariant:
     ||m^T G||_inf <= tol * ||m||_1 * max lambda.
 
     Raises
@@ -116,7 +116,11 @@ def validate_chain(
     ChainValidationError, ReducibleChainError, NotInvariantError,
     NonPositiveMeasureError
     """
-    r = np.array(rates, dtype=float)
+    try:
+        r = np.array(rates, dtype=float)
+        mv = None if m is None else np.array(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ChainValidationError(f"rates and m must be arrays of numbers: {exc}") from exc
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ChainValidationError(f"rate matrix must be square, got shape {r.shape}")
     if r.shape[0] < 2:
@@ -131,7 +135,7 @@ def validate_chain(
     if n_classes != 1:
         raise ReducibleChainError("rate matrix is reducible")
     gen = r - np.diag(r.sum(axis=1))
-    if m is None:
+    if mv is None:
         # m^T G = 0 with the normalization row appended in place of one
         # (redundant) balance equation.
         a = gen.T.copy()
@@ -142,19 +146,19 @@ def validate_chain(
             mv = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SingularSystemError(str(exc)) from exc
-        if np.any(mv <= 0):  # pragma: no cover - cannot happen for irreducible r
+        if not np.all(mv > 0):  # pragma: no cover - cannot happen for irreducible r
             raise SingularSystemError("computed measure is not strictly positive")
     else:
-        mv = np.asarray(m, dtype=float).copy()
         if mv.shape != (r.shape[0],):
             raise ChainValidationError(
                 f"measure has shape {mv.shape}, expected ({r.shape[0]},)"
             )
-        if np.any(mv <= 0):
-            raise NonPositiveMeasureError("invariant measure must be strictly positive")
+        # NaN-safe: a NaN entry or residual fails these comparisons.
+        if not np.all((mv > 0) & (mv < np.inf)):
+            raise NonPositiveMeasureError("invariant measure must be finite and strictly positive")
         residual = np.abs(mv @ gen).max()
         scale = mv.sum() * max(r.sum(axis=1).max(), 1.0)
-        if residual > tol * scale:
+        if not residual <= tol * scale:
             raise NotInvariantError(
                 f"measure is not invariant: ||m^T G||_inf = {residual:.3e}"
             )
@@ -179,6 +183,14 @@ def _normalize_subset(size: int, subset: Iterable[int]) -> tuple[int, ...]:
     if b[0] < 0 or b[-1] >= size:
         raise BadSubsetError(f"subset {b} out of range for {size} sites")
     return b
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """Bitmask of a site subset: bit j <-> site j (site j+1 in reports)."""
+    mask = 0
+    for j in indices:
+        mask |= 1 << int(j)
+    return mask
 
 
 def subset_complement(size: int, subset: Sequence[int]) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .chain import (
     chain_identity_residuals,
     dirichlet_matrix,
     harmonic_extensions,
+    mask_of,
     superharmonic_radius,
     trace_rates,
 )
@@ -40,7 +42,7 @@ from .experiments import (
     hitting_bound_check,
     winner_distribution,
 )
-from .reporting import ManifestTimer, fmt, mask_of, write_csv
+from .reporting import ManifestTimer, fmt, write_csv
 from .zrp import ZrpConfig, simulate_zrp_ensemble
 
 SIGN_TOL = 1e-12
@@ -86,17 +88,11 @@ def _site_cols(size: int) -> list[str]:
 def _diffusion_config(
     config: RunConfig, seed: int, sample_times: tuple[float, ...]
 ) -> DiffusionConfig:
-    d = config.diffusion
     return DiffusionConfig(
         chain=config.build_chain(),
         b=config.model.b,
         seed=seed,
-        dt_base=d.dt_base,
-        eps_abs=d.eps_abs,
-        noise_scale=d.noise_scale,
-        dt_rule=d.dt_rule,
-        horizon=d.horizon,
-        t_max=d.t_max,
+        **asdict(config.diffusion),
         sample_times=sample_times,
         cond_delta=config.experiment.delta,
         allow_small_b=config.model.allow_small_b,
@@ -286,7 +282,7 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     x0, dens = _unsampled_diffusion(config, manifest.seed)
     check = hitting_bound_check(
         chain,
-        tuple(int(j) for j in np.nonzero(x0 > 0)[0]),
+        np.nonzero(x0 > 0)[0],
         config.model.b,
         config.effective_q(),
         dens.sigma1,

@@ -1,12 +1,15 @@
 """Run configuration: YAML schema, validation, defaults, manifest data.
 
 The document has five blocks (chain, model, diffusion, experiment,
-output); all values have defaults except ``chain.rates`` and
-``experiment.seed``.  Sites in configs are 1-based (matching the
-``x_1..x_L`` CSV headers); the library uses 0-based indices internally
-and the CLI converts at the boundary.
+output).  The block dataclasses below are the schema: every key is
+checked against its field annotation, ``null`` is accepted only where
+the default is ``null``, and a field without a default is required
+(``chain.rates`` and ``experiment.seed``).  Sites in configs are
+1-based (matching the ``x_1..x_L`` CSV headers); the library uses
+0-based indices internally and the CLI converts at the boundary.
 
-Schema (defaults in parentheses):
+Schema (defaults in parentheses; each key's type is its field
+annotation below):
 
   chain:
     rates: LxL nonnegative matrix, zero diagonal      [required]
@@ -32,20 +35,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .chain import ChainSpec, validate_chain
+from .diffusion import DT_RULES
 from .errors import ChainValidationError, ConfigRangeError, ConfigSchemaError
+from .zrp import G_FAMILIES
 
 __version__ = "0.1.0"
 
 
 @dataclass
 class ChainBlock:
-    rates: list
-    m: list | None = None
+    rates: list[list[float]]
+    m: list[float] | None = None
 
 
 @dataclass
@@ -53,7 +59,7 @@ class ModelBlock:
     b: float = 1.5
     g_family: str = "default"
     g_correction: float = 0.0
-    N: list = field(default_factory=lambda: [100])
+    N: list[int] = field(default_factory=lambda: [100])
     allow_small_b: bool = False
 
 
@@ -69,17 +75,17 @@ class DiffusionBlock:
 
 @dataclass
 class ExperimentBlock:
-    seed: int = 0
+    seed: int
     paths: int = 1000
-    sample_times: list = field(default_factory=list)
+    sample_times: list[float] = field(default_factory=list)
     delta: float = 0.05
     q: float | None = None
     p: float | None = None
     eps: float = 0.3
     grid: int = 50
-    subset: list | None = None
-    x0: list | None = None
-    eta0: list | None = None
+    subset: list[int] | None = None
+    x0: list[float] | None = None
+    eta0: list[int] | None = None
     horizon: float | None = None
 
 
@@ -114,7 +120,7 @@ class RunConfig:
         """
         if self.experiment.subset is None:
             return tuple(range(size))
-        sites = tuple(int(s) - 1 for s in self.experiment.subset)
+        sites = tuple(s - 1 for s in self.experiment.subset)
         for s in sites:
             if not 0 <= s < size:
                 raise ConfigRangeError(f"experiment.subset: site {s + 1} is outside 1..{size}")
@@ -129,49 +135,63 @@ class RunConfig:
             raise ConfigSchemaError("chain", str(exc)) from exc
 
 
-_BLOCKS = {
-    "chain": ChainBlock,
-    "model": ModelBlock,
-    "diffusion": DiffusionBlock,
-    "experiment": ExperimentBlock,
-    "output": OutputBlock,
-}
-
-_SCALARS = {
-    ("model", "b"): float,
-    ("model", "g_correction"): float,
-    ("diffusion", "dt_base"): float,
-    ("diffusion", "eps_abs"): float,
-    ("diffusion", "noise_scale"): float,
-    ("diffusion", "horizon"): float,
-    ("diffusion", "t_max"): float,
-    ("experiment", "delta"): float,
-    ("experiment", "q"): float,
-    ("experiment", "p"): float,
-    ("experiment", "eps"): float,
-    ("experiment", "horizon"): float,
-    ("experiment", "seed"): int,
-    ("experiment", "paths"): int,
-    ("experiment", "grid"): int,
-}
-
-_LISTS = {
-    ("experiment", "sample_times"): float,
-    ("experiment", "x0"): float,
-    ("experiment", "eta0"): int,
-    ("experiment", "subset"): int,
-}
-
-
 def _number(path: str, value, target: type):
     """``value`` as a finite ``target`` (float or int); bool is no number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigSchemaError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigRangeError(f"{path} = {value} must be finite")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the range of a double
+        finite = False
+    if not finite:
+        raise ConfigRangeError(f"{path} = {value} must be finite and fit in a double")
     if target is int and int(value) != value:
         raise ConfigSchemaError(path, "expected an integer")
     return target(value)
+
+
+def _coerce(path: str, value, hint):
+    """``value`` checked against the annotation ``hint`` at key ``path``.
+
+    A block (dataclass) is a mapping of its annotated fields; an absent
+    or null block takes its defaults, and an absent field its default.
+    ``None`` is accepted only where the annotation allows it, lists are
+    checked entry by entry, numbers go through ``_number`` and anything
+    else must be an instance of its annotation.
+    """
+    if is_dataclass(hint):
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ConfigSchemaError(path, "must be a mapping")
+        hints = get_type_hints(hint)
+        prefix = f"{path}." if path else ""
+        unknown = sorted(str(key) for key in value if key not in hints)
+        if unknown:
+            raise ConfigSchemaError(prefix + unknown[0], "unknown key")
+        kwargs = {}
+        for f in fields(hint):
+            if f.name in value or is_dataclass(hints[f.name]):
+                kwargs[f.name] = _coerce(prefix + f.name, value.get(f.name), hints[f.name])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigSchemaError(prefix + f.name, "missing (required)")
+        return hint(**kwargs)
+    options = get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = (t for t in options if t is not type(None))
+    elif value is None:
+        raise ConfigSchemaError(path, "must not be null")
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigSchemaError(path, f"expected a list, got {value!r}")
+        (item,) = get_args(hint)
+        return [_coerce(f"{path}[{i}]", v, item) for i, v in enumerate(value)]
+    if hint in (int, float):
+        return _number(path, value, hint)
+    if not isinstance(value, hint):
+        raise ConfigSchemaError(path, f"expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -187,42 +207,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigSchemaError("<document>", f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigSchemaError("<document>", "top level must be a mapping")
-
-    unknown = set(raw) - set(_BLOCKS)
-    if unknown:
-        raise ConfigSchemaError(sorted(unknown)[0], "unknown block")
-    if "chain" not in raw:
-        raise ConfigSchemaError("chain", "missing block")
-    if "rates" not in (raw.get("chain") or {}):
-        raise ConfigSchemaError("chain.rates", "missing (required)")
-    if "seed" not in (raw.get("experiment") or {}):
-        raise ConfigSchemaError("experiment.seed", "missing (mandatory; no wall-clock seeding)")
-
-    blocks = {}
-    for name, cls in _BLOCKS.items():
-        section = raw.get(name, {})
-        if section is None:
-            section = {}
-        if not isinstance(section, dict):
-            raise ConfigSchemaError(name, "block must be a mapping")
-        fields = cls.__dataclass_fields__
-        bad = set(section) - set(fields)
-        if bad:
-            raise ConfigSchemaError(f"{name}.{sorted(bad)[0]}", "unknown key")
-        kwargs = {}
-        for key, value in section.items():
-            path = f"{name}.{key}"
-            if value is not None and (name, key) in _SCALARS:
-                value = _number(path, value, _SCALARS[name, key])
-            elif value is not None and (name, key) in _LISTS:
-                if not isinstance(value, list):
-                    raise ConfigSchemaError(path, f"expected a list, got {value!r}")
-                target = _LISTS[name, key]
-                value = [_number(f"{path}[{i}]", v, target) for i, v in enumerate(value)]
-            kwargs[key] = value
-        blocks[name] = cls(**kwargs)
-
-    config = RunConfig(**blocks)
+    config = _coerce("", raw, RunConfig)
     _validate_ranges(config)
     return config
 
@@ -235,11 +220,9 @@ def _validate_ranges(config: RunConfig) -> None:
             "absorbed at the boundary in this regime; set "
             "model.allow_small_b: true to explore it anyway"
         )
-    if model.g_family not in ("default", "corrected"):
+    if model.g_family not in G_FAMILIES:
         raise ConfigSchemaError("model.g_family", f"unknown family {model.g_family!r}")
-    if not isinstance(model.N, list) or not model.N or any(
-        (isinstance(n, bool)) or not isinstance(n, int) or n < 1 for n in model.N
-    ):
+    if not model.N or min(model.N) < 1:
         raise ConfigSchemaError("model.N", "must be a nonempty list of positive integers")
     if not diff.dt_base > 0:
         raise ConfigRangeError(f"diffusion.dt_base = {diff.dt_base} must be positive")
@@ -247,7 +230,7 @@ def _validate_ranges(config: RunConfig) -> None:
         raise ConfigRangeError(f"diffusion.eps_abs = {diff.eps_abs} out of (0, 0.1)")
     if not 0 <= diff.noise_scale <= 1:
         raise ConfigRangeError(f"diffusion.noise_scale = {diff.noise_scale} out of [0, 1]")
-    if diff.dt_rule not in ("clamped", "quadratic"):
+    if diff.dt_rule not in DT_RULES:
         raise ConfigSchemaError("diffusion.dt_rule", f"unknown rule {diff.dt_rule!r}")
     if not 0 < exp.delta < 1:
         raise ConfigRangeError(f"experiment.delta = {exp.delta} out of (0, 1)")

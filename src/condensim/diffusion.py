@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, dirichlet_matrix, trace_rates
+from .chain import ChainSpec, dirichlet_matrix, mask_of, trace_rates
 from .errors import (
     ConfigRangeError,
     NonSimplexStartError,
@@ -41,6 +41,8 @@ from .rng import PathStreams, check_window, derive_seed, due_samples
 SUM_TOL = 1e-9
 # Maximum relative coordinate move per step allowed by the clamped rule.
 MAX_RELATIVE_MOVE = 0.25
+# Step-size rules: "clamped" also caps the relative move per step.
+DT_RULES = ("clamped", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class DiffusionConfig:
     dt_base: float = 1e-3
     eps_abs: float = 1e-4
     noise_scale: float = 1.0
-    dt_rule: str = "clamped"  # "clamped" | "quadratic"
+    dt_rule: str = "clamped"  # one of DT_RULES
     horizon: float | None = None
     t_max: float = 100.0
     sample_times: tuple[float, ...] = ()
@@ -75,7 +77,7 @@ class DiffusionConfig:
             raise ConfigRangeError("eps_abs must be a small positive threshold")
         if not 0.0 <= self.noise_scale <= 1.0:
             raise ConfigRangeError("noise_scale must be in [0, 1]")
-        if self.dt_rule not in ("clamped", "quadratic"):
+        if self.dt_rule not in DT_RULES:
             raise ConfigRangeError(f"unknown dt rule {self.dt_rule!r}")
         times = check_window(self.horizon, self.t_max, self.sample_times)
         object.__setattr__(self, "sample_times", times)
@@ -230,7 +232,7 @@ def simulate_diffusion_ensemble(
         raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
     x0 = x0 / x0.sum()
     faces = FaceTable(chain)
-    mask0 = int(sum(1 << int(j) for j in np.nonzero(x0 > 0)[0]))
+    mask0 = mask_of(np.nonzero(x0 > 0)[0])
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size
@@ -312,7 +314,7 @@ def simulate_diffusion_ensemble(
         hit_rows = np.nonzero(hit.any(axis=1))[0]
         for row in hit_rows:
             keep = active[row] & ~hit[row]
-            new_mask = int(sum(1 << j for j in np.nonzero(keep)[0]))
+            new_mask = mask_of(np.nonzero(keep)[0])
             x_new[row, ~keep] = 0.0
             rem = x_new[row, keep].sum()
             x_new[row, keep] /= rem

@@ -18,6 +18,7 @@ from scipy import stats
 from .bumps import BumpFunction, hole_product
 from .chain import (
     ChainSpec,
+    _normalize_subset,
     dirichlet_matrix,
     hitting_diagonal_min,
     superharmonic_radius,
@@ -142,7 +143,7 @@ def hitting_bound_check(
     samples = np.asarray(sigma1_samples, dtype=float)
     if samples.size == 0 or np.any(np.isnan(samples)):
         raise IncompletePathError("sigma1 samples missing or unfinished")
-    bset = tuple(sorted(int(j) for j in B))
+    bset = _normalize_subset(chain.size, B)
     d_b = hitting_diagonal_min(chain, bset)
     size_b = len(bset)
     bound = size_b ** max(q - 1.0, 1.0) / ((q + 1.0) * (q - b) * d_b)
@@ -176,7 +177,7 @@ def superharmonic_expression(
     exponent algebra, so points with vanishing complement coordinates
     give exact zeros.  Coordinates in B must be strictly positive.
     """
-    bset = tuple(sorted(int(j) for j in B))
+    bset = _normalize_subset(chain.size, B)
     aset = subset_complement(chain.size, bset)
     if not aset:
         raise EmptyRegionError("B must be a proper subset")
@@ -220,7 +221,7 @@ def superharmonic_region_grid(
     (0, a0*eps], active coordinates at least eps, total mass one."""
     if resolution < 2:
         raise EmptyRegionError("need at least two grid points per axis")
-    bset = tuple(sorted(int(j) for j in B))
+    bset = _normalize_subset(chain.size, B)
     aset = subset_complement(chain.size, bset)
     if not aset:
         raise EmptyRegionError("B must be a proper subset")
@@ -281,7 +282,7 @@ def superharmonic_sign_check(
     """
     if not (1.0 < p < b < p + 1.0):
         raise BadExponentsError(f"need 1 < p < b < p + 1, got p={p}, b={b}")
-    bset = tuple(sorted(int(j) for j in B))
+    bset = _normalize_subset(chain.size, B)
     a0 = superharmonic_radius(chain, bset, b, p)
     grid = superharmonic_region_grid(chain, bset, eps, a0, resolution)
     values = superharmonic_expression(chain, bset, b, p, grid)
@@ -428,7 +429,7 @@ def trace_rate_mc(
     linear solve it cross-checks.  Landing back at j itself is a
     non-event of the trace chain and contributes to no target.
     """
-    bset = tuple(sorted(int(s) for s in B))
+    bset = _normalize_subset(chain.size, B)
     if j not in bset:
         raise MismatchedChainsError(f"start site {j} not in subset {bset}")
     rng = np.random.default_rng(seed)

@@ -38,14 +38,6 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def mask_of(indices) -> int:
-    """Bitmask encoding of a 0-based site subset (bit j <-> site j+1)."""
-    mask = 0
-    for j in indices:
-        mask |= 1 << int(j)
-    return mask
-
-
 class ManifestTimer:
     """Collects manifest fields across one subcommand run."""
 

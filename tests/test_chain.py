@@ -7,6 +7,7 @@ from condensim.chain import (
     dirichlet_matrix,
     harmonic_extensions,
     hitting_diagonal_min,
+    mask_of,
     superharmonic_radius,
     subset_complement,
     trace_rates,
@@ -15,6 +16,7 @@ from condensim.chain import (
 from condensim.errors import (
     BadExponentsError,
     BadSubsetError,
+    ChainValidationError,
     NonPositiveMeasureError,
     NotInvariantError,
     ReducibleChainError,
@@ -61,6 +63,26 @@ class TestValidateChain:
     def test_supplied_measure_nonpositive(self):
         with pytest.raises(NonPositiveMeasureError):
             validate_chain(K3_RATES, m=[1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_supplied_measure_not_finite(self, bad):
+        # A NaN entry passes every "<= 0" test, and an infinite one makes
+        # the invariance residual and its scale both infinite.
+        with pytest.raises(NonPositiveMeasureError):
+            validate_chain([[0.0, 1.0], [1.0, 0.0]], [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "rates, m",
+        [
+            ([[0.0, 1.0], [1.0]], None),
+            ([[0.0, "a"], [1.0, 0.0]], None),
+            ([[0.0, 1.0], [1.0, 0.0]], [1.0, "a"]),
+            ([[0.0, 1.0], [1.0, 0.0]], [[1.0], [1.0, 1.0]]),
+        ],
+    )
+    def test_unconvertible_input_is_typed(self, rates, m):
+        with pytest.raises(ChainValidationError):
+            validate_chain(rates, m)
 
     def test_diagonal_must_be_zero(self):
         rates = K3_RATES.copy()
@@ -376,3 +398,10 @@ def test_asym3_is_not_reversible():
     chain = validate_chain(ASYM3_RATES)
     flow = chain.m[:, None] * chain.rates
     assert not np.allclose(flow, flow.T)
+
+
+def test_mask_of():
+    assert mask_of(()) == 0
+    assert mask_of([0, 2]) == 0b101
+    assert mask_of(np.array([3, 1], dtype=np.int64)) == 0b1010
+    assert type(mask_of(np.array([3]))) is int

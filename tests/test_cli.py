@@ -182,7 +182,7 @@ class TestVerify:
         assert checks["hitting_bound"][-1] == "false"
         assert all(r[-1] == "true" for name, r in checks.items() if name != "hitting_bound")
 
-    def test_exit_codes_for_bad_configs(self, tmp_path):
+    def test_exit_codes_for_bad_configs(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"
         assert main(["verify", str(missing)]) == 2
         bad = tmp_path / "bad.yaml"
@@ -217,6 +217,30 @@ class TestVerify:
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(doc)
             assert main([sub, str(cfg)]) == 2, name
+        # Every key is checked against its annotation: null only where
+        # the default is null, strings, booleans and numbers by type.
+        # The stderr line names the offending key.
+        typed = {
+            "null-b": ("model.b", base.replace("b: 1.5", "b: null")),
+            "null-seed": ("experiment.seed", base.replace("seed: 42", "seed: null")),
+            "null-dt": ("diffusion.dt_base", base + "diffusion:\n  dt_base: null\n"),
+            "int-directory": ("output.directory", base.replace(
+                f"directory: {tmp_path / 'out'}", "directory: 5"
+            )),
+            "string-small-b": ("model.allow_small_b", base.replace(
+                "b: 1.5", 'b: 1.5\n  allow_small_b: "no"'
+            )),
+            "string-rate": ("chain.rates[0][1]", base.replace("[[0.0, 1.0, 1.0]", '[[0.0, "a", 1.0]')),
+            "ragged-rates": ("chain: rates", base.replace("[1.0, 1.0, 0.0]]", "[1.0, 1.0]]")),
+            "nan-measure": ("chain.m[1]", base.replace("chain:\n", "chain:\n  m: [1, .nan, 1]\n")),
+        }
+        capsys.readouterr()
+        for name, (key, doc) in typed.items():
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(doc)
+            for sub in ("chain-info", "diff-run"):
+                assert main([sub, str(cfg)]) == 2, (name, sub)
+                assert f"config error: {key}" in capsys.readouterr().err, (name, sub)
 
 
 class TestExitCodes:

@@ -1,6 +1,18 @@
-import pytest
+from dataclasses import asdict, fields
 
-from condensim.config import config_hash, parse_config
+import pytest
+import yaml
+
+from condensim.config import (
+    ChainBlock,
+    DiffusionBlock,
+    ExperimentBlock,
+    ModelBlock,
+    OutputBlock,
+    RunConfig,
+    config_hash,
+    parse_config,
+)
 from condensim.errors import ConfigRangeError, ConfigSchemaError
 
 MINIMAL = """
@@ -83,9 +95,87 @@ class TestParse:
             assert "experiment.subset" in str(err.value)
 
 
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("model.b", "model:\n  b: null\n"),
+            ("experiment.seed", "experiment:\n  seed: null\n"),
+            ("diffusion.dt_base", "diffusion:\n  dt_base: null\n"),
+            ("output.directory", "output:\n  directory: 5\n"),
+            ("model.allow_small_b", "model:\n  allow_small_b: \"no\"\n"),
+            ("model.g_family", "model:\n  g_family: 1\n"),
+            ("model.N", "model:\n  N: 100\n"),
+            ("model.N[0]", "model:\n  N: [true]\n"),
+            ("chain.rates[0]", "chain:\n  rates: [1.0, 0.0]\n"),
+            ("chain.rates[0][1]", "chain:\n  rates: [[0.0, \"a\"], [1.0, 0.0]]\n"),
+            ("chain.rates[1][0]", "chain:\n  rates: [[0.0, 1.0], [true, 0.0]]\n"),
+            ("chain.m", "chain:\n  rates: [[0.0, 1.0], [1.0, 0.0]]\n  m: 1.0\n"),
+            ("experiment", "experiment: 5\n"),
+            ("model.1", "model:\n  1: 2\n  foo: 3\n"),
+        ],
+    )
+    def test_every_key_checked_against_its_type(self, key, doc):
+        # The later block replaces MINIMAL's block of the same name.
+        with pytest.raises(ConfigSchemaError) as err:
+            parse_config(MINIMAL + doc)
+        assert err.value.path == key
+
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("chain.m[1]", "chain:\n  rates: [[0.0, 1.0], [1.0, 0.0]]\n  m: [1, .nan]\n"),
+            ("model.b", "model:\n  b: 1" + "0" * 400 + "\n"),
+        ],
+    )
+    def test_non_finite_number_is_range_error(self, key, doc):
+        with pytest.raises(ConfigRangeError) as err:
+            parse_config(MINIMAL + doc)
+        assert str(err.value).startswith(key + " = ")
+
+    def test_integral_floats_accepted_as_integers(self):
+        cfg = parse_config(MINIMAL + "model:\n  N: [10.0, 20]\n")
+        assert cfg.model.N == [10, 20] and all(type(n) is int for n in cfg.model.N)
+
+    def test_null_where_default_is_null(self):
+        cfg = parse_config(MINIMAL + "chain:\n  rates: [[0.0, 1], [1, 0.0]]\n  m: null\n")
+        assert cfg.chain.m is None
+        assert cfg.chain.rates == [[0.0, 1.0], [1.0, 0.0]]
+        assert all(type(r) is float for row in cfg.chain.rates for r in row)
+        cfg = parse_config(MINIMAL + "model:\ndiffusion: null\n")
+        assert cfg.model == ModelBlock() and cfg.diffusion == DiffusionBlock()
+
+
 class TestRoundTrip:
+    def test_schema_round_trip(self):
+        # Every key of every block differs from its default, so every
+        # annotation is exercised by the parser.
+        cfg = RunConfig(
+            chain=ChainBlock(rates=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                             m=[2.0, 2.0, 2.0]),
+            model=ModelBlock(b=2.0, g_family="corrected", g_correction=0.5, N=[10, 20],
+                             allow_small_b=True),
+            diffusion=DiffusionBlock(dt_base=2e-3, eps_abs=2e-4, noise_scale=0.5,
+                                     dt_rule="quadratic", horizon=1.5, t_max=50.0),
+            experiment=ExperimentBlock(seed=7, paths=10, sample_times=[0.0, 0.5], delta=0.1,
+                                       q=2.5, p=1.5, eps=0.2, grid=20, subset=[1, 2],
+                                       x0=[0.5, 0.25, 0.25], eta0=[4, 3, 3], horizon=0.75),
+            output=OutputBlock(directory="elsewhere"),
+        )
+        required = {ChainBlock: {"rates": []}, ExperimentBlock: {"seed": 0}}
+        for slot in fields(RunConfig):
+            block = getattr(cfg, slot.name)
+            given = required.get(type(block), {})
+            default = type(block)(**given)
+            for f in fields(block):
+                if f.name not in given:
+                    assert getattr(block, f.name) != getattr(default, f.name), f.name
+        parsed = parse_config(yaml.safe_dump(asdict(cfg)))
+        assert parsed == cfg
+        assert config_hash(parsed) == config_hash(cfg)
+
     def test_hash_stable_and_sensitive(self):
         cfg = parse_config(MINIMAL)
         assert config_hash(cfg) == config_hash(parse_config(MINIMAL))
         other = parse_config(MINIMAL.replace("seed: 42", "seed: 43"))
         assert config_hash(cfg) != config_hash(other)
+

@@ -8,6 +8,7 @@ from condensim.chain import dirichlet_matrix, validate_chain
 from condensim.diffusion import drift_field, generator_apply
 from condensim.errors import (
     BadExponentsError,
+    BadSubsetError,
     EmptyRegionError,
     IncompletePathError,
     MismatchedChainsError,
@@ -23,6 +24,7 @@ from condensim.experiments import (
     superharmonic_sign_check,
     hitting_bound_check,
     generator_taylor_residual,
+    trace_rate_mc,
     winner_distribution,
 )
 from condensim.zrp import ZrpConfig, simulate_zrp_ensemble, zrp_generator_apply
@@ -114,6 +116,12 @@ class TestR06:
         )
         assert check.violated
 
+    def test_repeated_site_counts_once(self):
+        once = hitting_bound_check(k3(), (0,), b=1.5, q=2.0, sigma1_samples=[0.1, 0.2])
+        twice = hitting_bound_check(k3(), (0, 0), b=1.5, q=2.0, sigma1_samples=[0.1, 0.2])
+        assert twice.B == once.B == (0,)
+        assert twice.bound == once.bound == pytest.approx(1.0)
+
     def test_one_sample_is_violated(self):
         # One sample has no confidence interval: the check cannot pass,
         # however far below the bound the sample lies.
@@ -199,6 +207,15 @@ class TestPsi4:
     def test_empty_region(self):
         with pytest.raises(EmptyRegionError):
             superharmonic_region_grid(k3(), (0, 1), eps=0.6, a0=0.25, resolution=10)
+
+
+def test_out_of_range_site_is_bad_subset():
+    with pytest.raises(BadSubsetError):
+        trace_rate_mc(k3(), (0, 9), 0, n_excursions=10, seed=1)
+    with pytest.raises(BadSubsetError):
+        superharmonic_region_grid(k3(), (0, 7), eps=0.3, a0=0.25, resolution=10)
+    with pytest.raises(BadSubsetError):
+        superharmonic_expression(k3(), (0, 5), b=2.0, p=1.5, points=[0.5, 0.25, 0.25])
 
 
 class TestLatticePoints:

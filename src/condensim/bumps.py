@@ -14,14 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _psi_parts(u: np.ndarray):
+def _psi(u: np.ndarray):
     """Mollifier psi(u) = exp(1 - 1/(1-u^2)) on |u| < 1 (0 outside),
-    together with its first two derivatives."""
+    with the mask |u| < 1 and the clipped copy of u it is evaluated on."""
     inside = np.abs(u) < 1.0
     # Evaluate on a clipped copy to keep the arithmetic finite outside.
     uc = np.where(inside, u, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - uc * uc)), 0.0), inside, uc
+
+
+def _psi_parts(u: np.ndarray):
+    """psi(u) together with its first two derivatives."""
+    psi, inside, uc = _psi(u)
     t = 1.0 - uc * uc
-    psi = np.where(inside, np.exp(1.0 - 1.0 / t), 0.0)
     dphi = -2.0 * uc / t**2
     d2phi = -2.0 * (1.0 + 3.0 * uc * uc) / t**3
     dpsi = np.where(inside, psi * dphi, 0.0)
@@ -58,15 +63,16 @@ class BumpFunction:
     def size(self) -> int:
         return self.center.shape[0]
 
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        return (np.asarray(x, dtype=float) - self.center) / self.width
+
     def _parts(self, x: np.ndarray):
-        u = (np.asarray(x, dtype=float) - self.center) / self.width
-        psi, dpsi, d2psi = _psi_parts(u)
+        psi, dpsi, d2psi = _psi_parts(self._scaled(x))
         return psi, dpsi / self.width, d2psi / self.width**2
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """H at points of shape (..., L)."""
-        psi, _, _ = self._parts(x)
-        return psi.prod(axis=-1)
+        return _psi(self._scaled(x))[0].prod(axis=-1)
 
     def derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient (..., L) and Hessian (..., L, L) of H at points (..., L)."""

@@ -254,7 +254,12 @@ def trace_rates(chain: ChainSpec, B: Iterable[int]) -> ChainSpec:
     b = _normalize_subset(chain.size, B)
     if len(b) < 2:
         raise SubsetTooSmallError(f"trace needs at least two sites, got {b}")
-    rb = chain.rates[list(b), :] @ harmonic_extensions(chain, b)
+    return _trace(chain, b, harmonic_extensions(chain, b))
+
+
+def _trace(chain: ChainSpec, b: tuple[int, ...], basis: np.ndarray) -> ChainSpec:
+    """Trace chain on the sorted subset ``b`` from its harmonic basis."""
+    rb = chain.rates[list(b), :] @ basis
     np.fill_diagonal(rb, 0.0)
     floor = -1e-12 * chain.holding.max()
     if not np.all(rb >= floor):
@@ -329,7 +334,7 @@ def chain_identity_residuals(chain: ChainSpec) -> list[tuple[str, str, float, fl
     for nb in range(2, size + 1):
         for subset in combinations(range(size), nb):
             basis = harmonic_extensions(chain, subset)
-            trace = trace_rates(chain, subset)
+            trace = _trace(chain, subset, basis)
             v_b = trace.generator  # row j is the trace drift v^B_j
             # C-ordered: the product with the strided view basis.T
             # rounds differently in the last bits.

@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .chain import (
+    ChainSpec,
     chain_identity_residuals,
     dirichlet_matrix,
     harmonic_extensions,
@@ -28,14 +29,17 @@ from .chain import (
     superharmonic_radius,
     trace_rates,
 )
-from .config import RunConfig, __version__, config_hash, parse_config
+from .config import RunConfig, __version__, check_seed, config_hash, parse_config
 from .diffusion import DiffusionConfig, DiffusionEnsemble, simulate_diffusion_ensemble
 from .errors import (
+    BadInitialError,
     CondensimError,
     ConfigRangeError,
     ConfigSchemaError,
+    NonSimplexStartError,
 )
 from .experiments import (
+    SuperharmonicReport,
     compare_winner,
     ks_distance,
     superharmonic_sign_check,
@@ -43,7 +47,7 @@ from .experiments import (
     winner_distribution,
 )
 from .reporting import ManifestTimer, fmt, write_csv
-from .zrp import ZrpConfig, simulate_zrp_ensemble
+from .zrp import ZrpConfig, ZrpEnsemble, simulate_zrp_ensemble
 
 SIGN_TOL = 1e-12
 
@@ -57,21 +61,63 @@ def default_eta0(size: int, n: int) -> np.ndarray:
 
 def _seed(config: RunConfig) -> tuple[int, str]:
     env = os.environ.get("CONDENSIM_SEED")
-    if env is not None:
-        return int(env), "env"
-    return config.experiment.seed, "config"
+    if env is None:
+        return config.experiment.seed, "config"
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigSchemaError("CONDENSIM_SEED", "must be an integer") from None
+    return check_seed("CONDENSIM_SEED", seed), "env"
 
 
-def _x0(config: RunConfig, size: int) -> np.ndarray:
-    if config.experiment.x0 is not None:
-        return np.asarray(config.experiment.x0, dtype=float)
-    return np.full(size, 1.0 / size)
+def _diffusion(
+    config: RunConfig, chain: ChainSpec, seed: int, sampled: bool
+) -> DiffusionEnsemble:
+    """Diffusion paths from the configured start (the barycenter by
+    default), on the sample grid only when ``sampled``."""
+    exp = config.experiment
+    dc = DiffusionConfig(
+        chain=chain,
+        b=config.model.b,
+        seed=seed,
+        **asdict(config.diffusion),
+        sample_times=tuple(exp.sample_times),
+        cond_delta=exp.delta,
+        allow_small_b=config.model.allow_small_b,
+    )
+    if not sampled:
+        dc = replace(dc, sample_times=())
+    x0 = np.full(chain.size, 1.0 / chain.size) if exp.x0 is None else exp.x0
+    try:
+        return simulate_diffusion_ensemble(dc, x0, exp.paths)
+    except NonSimplexStartError as exc:
+        raise ConfigSchemaError("experiment.x0", str(exc)) from exc
 
 
-def _eta0(config: RunConfig, size: int, n: int) -> np.ndarray:
-    if config.experiment.eta0 is not None:
-        return np.asarray(config.experiment.eta0, dtype=np.int64)
-    return default_eta0(size, n)
+def _zrp(
+    config: RunConfig, chain: ChainSpec, n: int, seed: int, sampled: bool
+) -> ZrpEnsemble:
+    """ZRP paths of ``n`` particles from the configured start (balanced
+    by default), on the sample grid only when ``sampled``."""
+    exp, model = config.experiment, config.model
+    zc = ZrpConfig(
+        chain=chain,
+        n_particles=n,
+        b=model.b,
+        seed=seed,
+        g_family=model.g_family,
+        g_correction=model.g_correction,
+        sample_times=tuple(exp.sample_times),
+        horizon=exp.horizon,
+        delta=exp.delta,
+    )
+    if not sampled:
+        zc = replace(zc, sample_times=())
+    eta0 = default_eta0(chain.size, n) if exp.eta0 is None else exp.eta0
+    try:
+        return simulate_zrp_ensemble(zc, eta0, exp.paths)
+    except BadInitialError as exc:
+        raise ConfigSchemaError("experiment.eta0", str(exc)) from exc
 
 
 def _sign_subset(config: RunConfig, size: int) -> tuple[int, ...]:
@@ -81,46 +127,17 @@ def _sign_subset(config: RunConfig, size: int) -> tuple[int, ...]:
     return subset if len(subset) < size else tuple(range(size - 1))
 
 
+def _sign_check(
+    config: RunConfig, chain: ChainSpec, subset: tuple[int, ...]
+) -> SuperharmonicReport:
+    return superharmonic_sign_check(
+        chain, subset, config.model.b, config.effective_p(),
+        config.experiment.eps, config.experiment.grid,
+    )
+
+
 def _site_cols(size: int) -> list[str]:
     return [f"x_{j + 1}" for j in range(size)]
-
-
-def _diffusion_config(
-    config: RunConfig, seed: int, sample_times: tuple[float, ...]
-) -> DiffusionConfig:
-    return DiffusionConfig(
-        chain=config.build_chain(),
-        b=config.model.b,
-        seed=seed,
-        **asdict(config.diffusion),
-        sample_times=sample_times,
-        cond_delta=config.experiment.delta,
-        allow_small_b=config.model.allow_small_b,
-    )
-
-
-def _unsampled_diffusion(
-    config: RunConfig, seed: int
-) -> tuple[np.ndarray, DiffusionEnsemble]:
-    """Start point and diffusion paths without a sample grid, for the
-    subcommands that read only absorption and trapping times."""
-    dc = _diffusion_config(config, seed, ())
-    x0 = _x0(config, dc.chain.size)
-    return x0, simulate_diffusion_ensemble(dc, x0, config.experiment.paths)
-
-
-def _zrp_config(config: RunConfig, n: int, seed: int) -> ZrpConfig:
-    return ZrpConfig(
-        chain=config.build_chain(),
-        n_particles=n,
-        b=config.model.b,
-        seed=seed,
-        g_family=config.model.g_family,
-        g_correction=config.model.g_correction,
-        sample_times=tuple(config.experiment.sample_times),
-        horizon=config.experiment.horizon,
-        delta=config.experiment.delta,
-    )
 
 
 def _sample_rows(ens, masks=None) -> list[tuple]:
@@ -136,26 +153,19 @@ def _sample_rows(ens, masks=None) -> list[tuple]:
 def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
     size = chain.size
-    rows: list[tuple] = []
-    for j in range(size):
-        rows.append(("m", j + 1, "", chain.m[j]))
+    rows: list[tuple] = [("m", j + 1, "", chain.m[j]) for j in range(size)]
     a_s = dirichlet_matrix(chain)
-    for i in range(size):
-        for j in range(size):
-            rows.append(("a_s", i + 1, j + 1, a_s[i, j]))
+    rows += [("a_s", i + 1, j + 1, a_s[i, j]) for i in range(size) for j in range(size)]
     subset = config.subset_indices(size)
     if len(subset) >= 2:
         basis = harmonic_extensions(chain, subset)
         for ki, k in enumerate(subset):
-            for j in range(size):
-                rows.append(("u", j + 1, k + 1, basis[j, ki]))
+            rows += [("u", j + 1, k + 1, basis[j, ki]) for j in range(size)]
         trace = trace_rates(chain, subset)
         for ji, j in enumerate(subset):
-            for ki, k in enumerate(subset):
-                rows.append(("r_B", j + 1, k + 1, trace.rates[ji, ki]))
+            rows += [("r_B", j + 1, k + 1, trace.rates[ji, ki]) for ki, k in enumerate(subset)]
         for ki, k in enumerate(subset):
-            for j in range(size):
-                rows.append(("upsilon", k + 1, j + 1, basis[j, ki]))
+            rows += [("upsilon", k + 1, j + 1, basis[j, ki]) for j in range(size)]
         if len(subset) < size:
             p = config.effective_p()
             rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))
@@ -165,49 +175,39 @@ def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> 
 
 
 def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    exp = config.experiment
-    size = config.build_chain().size
+    chain = config.build_chain()
     for n in config.model.N:
-        zc = _zrp_config(config, n, manifest.seed)
-        ens = simulate_zrp_ensemble(zc, _eta0(config, size, n), exp.paths)
+        ens = _zrp(config, chain, n, manifest.seed, sampled=True)
         if ens.samples is not None:
             write_csv(
                 outdir / f"zrp_samples_N{n}.csv",
-                ["path_id", "t", *_site_cols(size)],
+                ["path_id", "t", *_site_cols(chain.size)],
                 _sample_rows(ens),
             )
         cond_rows = [
-            (
-                i,
-                float(ens.t_cond[i]),
-                int(ens.winner[i]) + 1 if ens.winner[i] >= 0 else None,
-            )
-            for i in range(exp.paths)
+            (i, float(t), int(w) + 1 if w >= 0 else None)
+            for i, (t, w) in enumerate(zip(ens.t_cond, ens.winner))
         ]
         write_csv(
             outdir / f"zrp_condensation_N{n}.csv",
             ["path_id", "t_cond", "winner"],
             cond_rows,
         )
-        print(f"N={n}: {exp.paths} paths, condensed {np.sum(~np.isnan(ens.t_cond))}")
+        print(f"N={n}: {ens.n_paths} paths, condensed {np.sum(~np.isnan(ens.t_cond))}")
     return 0
 
 
 def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    exp = config.experiment
-    dc = _diffusion_config(config, manifest.seed, tuple(exp.sample_times))
-    x0 = _x0(config, dc.chain.size)
-    ens = simulate_diffusion_ensemble(dc, x0, exp.paths)
-    size = dc.chain.size
+    chain = config.build_chain()
+    ens = _diffusion(config, chain, manifest.seed, sampled=True)
     if ens.samples is not None:
         write_csv(
             outdir / "diff_samples.csv",
-            ["path_id", "t", *_site_cols(size), "active_B"],
+            ["path_id", "t", *_site_cols(chain.size), "active_B"],
             _sample_rows(ens, ens.sample_masks),
         )
     abs_rows = []
-    for i in range(exp.paths):
-        events = ens.events[i]
+    for i, events in enumerate(ens.events):
         vertex = int(ens.trapped_vertex[i])
         if not events and vertex >= 0:
             # Started at a vertex: a single synthetic row records it.
@@ -222,21 +222,19 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
         abs_rows,
     )
     trapped = int((ens.trapped_vertex >= 0).sum())
-    print(f"{exp.paths} paths, trapped {trapped}")
+    print(f"{ens.n_paths} paths, trapped {trapped}")
     return 0
 
 
 def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    exp = config.experiment
     chain = config.build_chain()
-    _, dens = _unsampled_diffusion(config, manifest.seed)
+    dens = _diffusion(config, chain, manifest.seed, sampled=False)
     hist_d = winner_distribution(
         dens.trapped_vertex, chain.size, engine="diffusion", chain_id=chain.fingerprint()
     )
     rows = []
     for n in config.model.N:
-        zc = _zrp_config(config, n, manifest.seed)
-        zens = simulate_zrp_ensemble(zc, _eta0(config, chain.size, n), exp.paths)
+        zens = _zrp(config, chain, n, manifest.seed, sampled=False)
         hist_z = winner_distribution(
             zens.winner, chain.size, engine="zrp", chain_id=chain.fingerprint()
         )
@@ -262,42 +260,25 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
 
 
 def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
+    """Each check is a row (name, detail, value, threshold); it passes
+    when value <= threshold, so a NaN value fails."""
     chain = config.build_chain()
-    report: list[tuple] = []
-    for name, detail, value, tol in chain_identity_residuals(chain):
-        passed = manifest.record(name, value <= tol)
-        report.append((name, detail, value, tol, passed))
-
-    sign_subset = _sign_subset(config, chain.size)
-    if len(sign_subset) >= 2:
-        psi = superharmonic_sign_check(
-            chain, sign_subset, config.model.b, config.effective_p(),
-            config.experiment.eps, config.experiment.grid,
-        )
-        passed = manifest.record("superharmonic_sign", psi.max_value <= SIGN_TOL)
-        report.append(
-            ("superharmonic_sign", f"B mask {mask_of(sign_subset)}", psi.max_value, SIGN_TOL, passed)
-        )
-
-    x0, dens = _unsampled_diffusion(config, manifest.seed)
-    check = hitting_bound_check(
-        chain,
-        np.nonzero(x0 > 0)[0],
-        config.model.b,
-        config.effective_q(),
-        dens.sigma1,
+    checks = chain_identity_residuals(chain)
+    subset = _sign_subset(config, chain.size)
+    if len(subset) >= 2:
+        psi = _sign_check(config, chain, subset)
+        checks.append(("superharmonic_sign", f"B mask {mask_of(psi.B)}", psi.max_value, SIGN_TOL))
+    dens = _diffusion(config, chain, manifest.seed, sampled=False)
+    hit = hitting_bound_check(
+        chain, np.nonzero(dens.x0 > 0)[0], config.model.b, config.effective_q(), dens.sigma1
     )
-    passed = manifest.record("hitting_bound", not check.violated)
-    report.append(
-        (
-            "hitting_bound",
-            f"mean sigma1 {fmt(check.empirical_mean_sigma1)} +- {fmt(check.ci_halfwidth)}",
-            check.empirical_mean_sigma1 - check.ci_halfwidth,
-            check.bound,
-            passed,
-        )
-    )
-
+    checks.append((
+        "hitting_bound",
+        f"mean sigma1 {fmt(hit.empirical_mean_sigma1)} +- {fmt(hit.ci_halfwidth)}",
+        hit.empirical_mean_sigma1 - hit.ci_halfwidth,
+        hit.bound,
+    ))
+    report = [(*row, manifest.record(row[0], row[2] <= row[3])) for row in checks]
     write_csv(
         outdir / "verify_report.csv",
         ["check", "detail", "value", "threshold", "passed"],
@@ -311,11 +292,7 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
 
 def cmd_psi4_check(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
-    subset = _sign_subset(config, chain.size)
-    psi = superharmonic_sign_check(
-        chain, subset, config.model.b, config.effective_p(),
-        config.experiment.eps, config.experiment.grid,
-    )
+    psi = _sign_check(config, chain, _sign_subset(config, chain.size))
     passed = manifest.record("superharmonic_sign", psi.max_value <= SIGN_TOL)
     write_csv(
         outdir / "psi4_report.csv",
@@ -362,19 +339,13 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text)
+        seed, seed_source = _seed(config)
     except (ConfigSchemaError, ConfigRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        seed, seed_source = _seed(config)
-    except ValueError:
-        print("config error: CONDENSIM_SEED must be an integer", file=sys.stderr)
         return 2
     manifest = ManifestTimer(args.subcommand, config_hash(config), seed, seed_source)
     outdir = Path(args.out) if args.out else Path(config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_path = outdir / f"run_manifest_{args.subcommand}.json"
 
     try:
         code = COMMANDS[args.subcommand](config, outdir, manifest)
@@ -384,12 +355,11 @@ def main(argv=None) -> int:
     except CondensimError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         manifest.record("completed", False)
-        manifest.write(manifest_path, __version__)
-        return 3
+        code = 3  # the manifest is still written for a failed run
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    manifest.write(manifest_path, __version__)
+    manifest.write(outdir / f"run_manifest_{args.subcommand}.json", __version__)
     return code
 
 

@@ -212,6 +212,13 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def check_seed(name: str, seed: int) -> int:
+    """``seed`` when it fits in 64 unsigned bits; else ConfigRangeError naming ``name``."""
+    if not 0 <= seed < 2**64:
+        raise ConfigRangeError(f"{name} = {seed} must fit in 64 unsigned bits")
+    return seed
+
+
 def _validate_ranges(config: RunConfig) -> None:
     model, diff, exp = config.model, config.diffusion, config.experiment
     if model.b <= 1.0 and not model.allow_small_b:
@@ -238,8 +245,7 @@ def _validate_ranges(config: RunConfig) -> None:
         raise ConfigRangeError("experiment.paths must be positive")
     if exp.grid < 2:
         raise ConfigRangeError("experiment.grid must be at least 2")
-    if exp.seed < 0 or exp.seed >= 2**64:
-        raise ConfigRangeError("experiment.seed must fit in 64 unsigned bits")
+    check_seed("experiment.seed", exp.seed)
     q, p, b = config.effective_q(), config.effective_p(), model.b
     if model.b > 1.0:
         if not q > b:

@@ -79,6 +79,8 @@ class DiffusionConfig:
             raise ConfigRangeError("noise_scale must be in [0, 1]")
         if self.dt_rule not in DT_RULES:
             raise ConfigRangeError(f"unknown dt rule {self.dt_rule!r}")
+        if self.cond_delta is not None and not 0.0 < self.cond_delta < 1.0:
+            raise ConfigRangeError("condensation threshold cond_delta must be in (0, 1)")
         times = check_window(self.horizon, self.t_max, self.sample_times)
         object.__setattr__(self, "sample_times", times)
         if not self.b > 1.0:
@@ -344,8 +346,6 @@ def simulate_diffusion_ensemble(
                 pid = int(ids[row])
                 trapped_vertex[pid] = int(masks[row]).bit_length() - 1
                 trapped_time[pid] = t_new[row]
-                if np.isnan(t_cond[pid]) and cond_level is not None:
-                    t_cond[pid] = t_new[row]
 
         retire = trapped | (t_new >= end_time)
         x = x_new

@@ -123,7 +123,6 @@ def zrp_generator_apply(config: ZrpConfig, h, x: np.ndarray):
     n = config.n_particles
     x = np.asarray(x, dtype=float)
     rows = _check_lattice(x, n).reshape(-1, chain.size)
-    h_fn = h.value if hasattr(h, "value") else h
     # One integer key per row, in radix N + 1 (every digit lies in 0..N,
     # as the row carries mass N).  Before a digit would overflow int64
     # (once (N+1)^L >= 2^63) the key is replaced by its rank, so the key
@@ -142,13 +141,13 @@ def zrp_generator_apply(config: ZrpConfig, h, x: np.ndarray):
     r_edge = chain.rates[src, dst]
     table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
     g = table.T[eta, np.arange(chain.size)]  # (D, L), D distinct points
-    h0 = h_fn(pts)
+    h0 = h(pts)
     shifts = np.zeros((len(src), chain.size))
     shifts[np.arange(len(src)), dst] += 1.0 / n
     shifts[np.arange(len(src)), src] -= 1.0 / n
     # (D, E, L) batch of displaced points, one per directed edge.
     moved = pts[:, None, :] + shifts
-    dh = h_fn(moved) - h0[:, None]
+    dh = h(moved) - h0[:, None]
     rates = g[:, src] * r_edge
     vals = n * n * (rates * dh).sum(axis=-1)
     return vals[inverse].reshape(x.shape[:-1])
@@ -204,9 +203,6 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     all_cols = np.arange(n_paths)
     at_buf = np.empty(src.size * n_paths, dtype=np.int64)
     rate_buf = np.empty(src.size * n_paths)
-    streams = PathStreams(
-        derive_seed(config.seed, "zrp"), n_paths, values_per_step=2, block=256
-    )
 
     if eta0.max() >= cond_level:
         t_cond[:] = 0.0
@@ -220,6 +216,9 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
                 np.asarray(config.sample_times), samples, t_cond, winner, first_event,
             )
 
+    streams = PathStreams(
+        derive_seed(config.seed, "zrp"), n_paths, values_per_step=2, block=256
+    )
     first_pass = True
     width = -1
     while ids.size:

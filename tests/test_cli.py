@@ -219,26 +219,41 @@ class TestVerify:
             assert main([sub, str(cfg)]) == 2, name
         # Every key is checked against its annotation: null only where
         # the default is null, strings, booleans and numbers by type.
-        # The stderr line names the offending key.
+        # A start the engines reject is a config error too, for every
+        # subcommand that runs that engine.  The stderr line names the
+        # offending key.
+        parse = ("chain-info", "diff-run")
         typed = {
-            "null-b": ("model.b", base.replace("b: 1.5", "b: null")),
-            "null-seed": ("experiment.seed", base.replace("seed: 42", "seed: null")),
-            "null-dt": ("diffusion.dt_base", base + "diffusion:\n  dt_base: null\n"),
-            "int-directory": ("output.directory", base.replace(
+            "null-b": ("model.b", parse, base.replace("b: 1.5", "b: null")),
+            "null-seed": ("experiment.seed", parse, base.replace("seed: 42", "seed: null")),
+            "null-dt": ("diffusion.dt_base", parse, base + "diffusion:\n  dt_base: null\n"),
+            "int-directory": ("output.directory", parse, base.replace(
                 f"directory: {tmp_path / 'out'}", "directory: 5"
             )),
-            "string-small-b": ("model.allow_small_b", base.replace(
+            "string-small-b": ("model.allow_small_b", parse, base.replace(
                 "b: 1.5", 'b: 1.5\n  allow_small_b: "no"'
             )),
-            "string-rate": ("chain.rates[0][1]", base.replace("[[0.0, 1.0, 1.0]", '[[0.0, "a", 1.0]')),
-            "ragged-rates": ("chain: rates", base.replace("[1.0, 1.0, 0.0]]", "[1.0, 1.0]]")),
-            "nan-measure": ("chain.m[1]", base.replace("chain:\n", "chain:\n  m: [1, .nan, 1]\n")),
+            "string-rate": ("chain.rates[0][1]", parse, base.replace(
+                "[[0.0, 1.0, 1.0]", '[[0.0, "a", 1.0]'
+            )),
+            "ragged-rates": ("chain: rates", parse, base.replace(
+                "[1.0, 1.0, 0.0]]", "[1.0, 1.0]]"
+            )),
+            "nan-measure": ("chain.m[1]", parse, base.replace(
+                "chain:\n", "chain:\n  m: [1, .nan, 1]\n"
+            )),
+            "short-x0": ("experiment.x0", ("diff-run", "compare", "verify"), base.replace(
+                "delta: 0.05", exp + "x0: [0.5, 0.5]"
+            )),
+            "light-eta0": ("experiment.eta0", ("zrp-run", "compare"), base.replace(
+                "delta: 0.05", exp + "eta0: [10, 10, 10]"
+            ).replace("N: [20]", "N: [100]")),
         }
         capsys.readouterr()
-        for name, (key, doc) in typed.items():
+        for name, (key, subs, doc) in typed.items():
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(doc)
-            for sub in ("chain-info", "diff-run"):
+            for sub in subs:
                 assert main([sub, str(cfg)]) == 2, (name, sub)
                 assert f"config error: {key}" in capsys.readouterr().err, (name, sub)
 
@@ -298,6 +313,15 @@ class TestSeedOverride:
         assert manifest["seed"] == 777
         assert manifest["seed_source"] == "env"
         assert manifest["environment"]["CONDENSIM_SEED"] == "777"
+
+    def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # The override passes the same 64-bit range check as
+        # experiment.seed.
+        cfg, _ = write_config(tmp_path, paths=5)
+        for value in ("-1", str(2**64), "x"):
+            monkeypatch.setenv("CONDENSIM_SEED", value)
+            assert main(["diff-run", str(cfg)]) == 2, value
+            assert "config error: CONDENSIM_SEED" in capsys.readouterr().err, value
 
     def test_env_seed_changes_output(self, tmp_path, monkeypatch):
         cfg, out = write_config(tmp_path, paths=10)

@@ -353,6 +353,13 @@ class TestSimulate:
         with pytest.warns(UserWarning):
             DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.1)
 
+    def test_condensation_threshold_in_unit_interval(self):
+        # 1.5 would put every t_cond at 0; -0.1 and NaN would record
+        # the trap time instead of a threshold crossing.
+        for cond_delta in (1.5, -0.1, np.nan):
+            with pytest.raises(ConfigRangeError, match="cond_delta"):
+                DiffusionConfig(chain=k3(), b=1.5, seed=1, cond_delta=cond_delta)
+
 
 def _pinned_cases(noise_scale):
     grid = tuple(np.linspace(0.0, 0.2, 11))

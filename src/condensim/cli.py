@@ -345,9 +345,9 @@ def main(argv=None) -> int:
         return 2
     manifest = ManifestTimer(args.subcommand, config_hash(config), seed, seed_source)
     outdir = Path(args.out) if args.out else Path(config.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         code = COMMANDS[args.subcommand](config, outdir, manifest)
     except (ConfigSchemaError, ConfigRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,11 @@ noise only through that covariance.  When a coordinate reaches the
 absorption threshold (or is driven negative within one step) it is
 glued to 0 forever, the remaining coordinates are renormalized, and
 the integration continues with the trace chain of the surviving set,
-recursively, until a single vertex remains.
+recursively, until a single vertex remains.  After an absorption the
+path is the same diffusion on a smaller face, so a start on a face or
+on a vertex is just the state after an absorption: the engine observes
+every state, the start included, in one place, then steps the paths
+still live.
 
 The ensemble engine steps all paths in lockstep with numpy; every path
 consumes L gaussians per step from its own counter-based stream, so
@@ -50,8 +54,10 @@ class DiffusionConfig:
     """Parameters of the absorbed-diffusion integrator.
 
     ``horizon=None`` runs every path to its trapped vertex (capped at
-    ``t_max``).  ``noise_scale=0`` turns the engine into a drift-only
-    ODE integrator for deterministic cross-checks.  ``cond_delta``
+    ``t_max``); the end must be positive.  ``eps_abs`` is below 1/L, so
+    an absorption always leaves a coordinate above it.
+    ``noise_scale=0`` turns the engine into a drift-only ODE integrator
+    for deterministic cross-checks.  ``cond_delta``
     optionally records the first time the maximal coordinate reaches
     1 - cond_delta, the same functional reported by the particle
     engine.
@@ -73,8 +79,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if not self.dt_base > 0:
             raise ConfigRangeError("dt_base must be positive")
-        if not 0 < self.eps_abs < 0.1:
-            raise ConfigRangeError("eps_abs must be a small positive threshold")
+        if not 0 < self.eps_abs < min(0.1, 1.0 / self.chain.size):
+            raise ConfigRangeError("eps_abs must be a positive threshold below 0.1 and 1/L")
         if not 0.0 <= self.noise_scale <= 1.0:
             raise ConfigRangeError("noise_scale must be in [0, 1]")
         if self.dt_rule not in DT_RULES:
@@ -103,8 +109,10 @@ class FaceTable:
     holds one L x L noise factor F per face: F F^T = 2 a_s^B on the
     face, the rows off the face are zero and every column sums to zero,
     so the noise F xi stays on the face and on the hyperplane.
-    ``noise_diag`` is the diagonal of 2 a_s^B.  Faces with fewer than
-    two sites stay zero; a trapped path never gathers them.
+    ``noise_diag`` is the diagonal of 2 a_s^B.  ``active`` marks the
+    sites of each face, so a vertex (a mask with one bit) is the argmax
+    of its row.  Faces with fewer than two sites stay zero; a trapped
+    path never gathers them.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -116,11 +124,9 @@ class FaceTable:
         self.noise_f = np.zeros((n_masks, size, size))
         self.noise_diag = np.zeros((n_masks, size))
         self.active = np.zeros((n_masks, size), dtype=bool)
-        self.popcount = np.zeros(n_masks, dtype=np.int64)
         for mask in range(1, n_masks):
             members = [j for j in range(size) if mask >> j & 1]
             self.active[mask, members] = True
-            self.popcount[mask] = len(members)
             if len(members) < 2:
                 continue
             trace = trace_rates(chain, members)
@@ -234,7 +240,6 @@ def simulate_diffusion_ensemble(
         raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
     x0 = x0 / x0.sum()
     faces = FaceTable(chain)
-    mask0 = mask_of(np.nonzero(x0 > 0)[0])
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size
@@ -254,27 +259,8 @@ def simulate_diffusion_ensemble(
     ids = np.arange(n_paths)
     x = np.tile(x0, (n_paths, 1))
     t = np.zeros(n_paths)
-    masks = np.full(n_paths, mask0, dtype=np.int64)
+    masks = np.full(n_paths, mask_of(np.nonzero(x0 > 0)[0]), dtype=np.int64)
     next_samp = np.zeros(n_paths, dtype=np.int64)
-
-    if cond_level is not None and x0.max() >= cond_level:
-        t_cond[:] = 0.0
-
-    at_vertex = faces.popcount[mask0] == 1
-    if n_samp:
-        # The start stands for t = 0, and a vertex start for the whole run.
-        n_start = np.searchsorted(sample_times, end_time if at_vertex else 0.0, side="right")
-        samples[:, :n_start] = x0
-        sample_masks[:, :n_start] = mask0
-        next_samp[:] = n_start
-    if at_vertex:
-        # Started at a vertex: trapped forever at time zero.
-        trapped_vertex[:] = mask0.bit_length() - 1
-        trapped_time[:] = 0.0
-        return DiffusionEnsemble(
-            config, x0, n_paths, sample_times, samples, sample_masks,
-            sigma1, trapped_vertex, trapped_time, t_cond, events,
-        )
 
     streams = PathStreams(
         derive_seed(config.seed, "diffusion"),
@@ -287,7 +273,29 @@ def simulate_diffusion_ensemble(
     eps_guard = config.eps_guard
     ns2 = config.noise_scale**2
 
-    while ids.size:
+    while True:
+        # Observe: the state at t stands for the times in (t_prev, t]
+        # (the start for t = 0 alone), never past the end; a trapped
+        # vertex stands for the rest of the run.
+        if cond_level is not None:
+            crossed = (x.max(axis=1) >= cond_level) & np.isnan(t_cond[ids])
+            t_cond[ids[crossed]] = t[crossed]
+        trapped = (masks & (masks - 1)) == 0
+        if n_samp:
+            bound = np.nextafter(np.minimum(t, end_time), np.inf)
+            bound[trapped] = end_bound
+            rows, slots = due_samples(grid, next_samp, bound)
+            samples[ids[rows], slots] = x[rows]
+            sample_masks[ids[rows], slots] = masks[rows]
+        trapped_vertex[ids[trapped]] = faces.active[masks[trapped]].argmax(axis=1)
+        trapped_time[ids[trapped]] = t[trapped]
+        retire = trapped | (t >= end_time)
+        if retire.any():
+            keep = ~retire
+            ids, x, t, masks, next_samp = (a[keep] for a in (ids, x, t, masks, next_samp))
+        if not ids.size:
+            break
+
         active, drift_vec = drift(faces, masks, x, chain.m, config.b)
         xa = np.where(active, x, np.inf)
         xmin = xa.min(axis=1)
@@ -306,57 +314,30 @@ def simulate_diffusion_ensemble(
         xi = None
         if config.noise_scale > 0:
             xi = streams.take(ids)
-        x_new, t_new = em_step(
-            faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale
-        )
+        x, t = em_step(faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale)
 
         # Absorption: coordinates at or below the threshold (including
-        # negatives) are glued to zero; simultaneous hits allowed.
-        hit = (x_new <= config.eps_abs) & active
-        hit_rows = np.nonzero(hit.any(axis=1))[0]
-        for row in hit_rows:
-            keep = active[row] & ~hit[row]
-            new_mask = mask_of(np.nonzero(keep)[0])
-            x_new[row, ~keep] = 0.0
-            rem = x_new[row, keep].sum()
-            x_new[row, keep] /= rem
-            pid = int(ids[row])
-            events[pid].append((float(t_new[row]), new_mask))
-            if np.isnan(sigma1[pid]):
-                sigma1[pid] = t_new[row]
-            masks[row] = new_mask
-
-        if cond_level is not None:
-            crossed = (x_new.max(axis=1) >= cond_level) & np.isnan(t_cond[ids])
-            if crossed.any():
-                t_cond[ids[crossed]] = t_new[crossed]
-
-        trapped = faces.popcount[masks] == 1
-        if n_samp:
-            # The post-step state stands for times in (t, t_new], never
-            # past the end; a trapped vertex stands for the rest of it.
-            bound = np.nextafter(np.minimum(t_new, end_time), np.inf)
-            bound[trapped] = end_bound
-            rows, slots = due_samples(grid, next_samp, bound)
-            samples[ids[rows], slots] = x_new[rows]
-            sample_masks[ids[rows], slots] = masks[rows]
-
-        if trapped.any():
-            for row in np.nonzero(trapped)[0]:
-                pid = int(ids[row])
-                trapped_vertex[pid] = int(masks[row]).bit_length() - 1
-                trapped_time[pid] = t_new[row]
-
-        retire = trapped | (t_new >= end_time)
-        x = x_new
-        t = t_new
-        if retire.any():
-            keep = ~retire
-            ids = ids[keep]
-            x = x[keep]
-            t = t[keep]
-            masks = masks[keep]
-            next_samp = next_samp[keep]
+        # negatives) are glued to zero; simultaneous hits allowed.  As
+        # eps_abs < 1/L, every hit row keeps a coordinate.
+        hit = (x <= config.eps_abs) & active
+        rows = np.flatnonzero(hit.any(axis=1))
+        if rows.size:
+            keep = active[rows] & ~hit[rows]
+            x_hit = np.where(keep, x[rows], 0.0)
+            # Each row's kept mass is summed over its kept entries alone,
+            # in order: zero padding would change numpy's pairwise sum.
+            n_kept = keep.sum(axis=1)
+            rem = np.empty(rows.size)
+            for k in np.unique(n_kept):
+                same = n_kept == k
+                rem[same] = x_hit[same][keep[same]].reshape(-1, k).sum(axis=1)
+            x[rows] = x_hit / rem[:, None]
+            masks[rows] = keep @ (1 << np.arange(size))
+            pids = ids[rows]
+            first = np.isnan(sigma1[pids])
+            sigma1[pids[first]] = t[rows[first]]
+            for pid, t_hit, mask in zip(pids.tolist(), t[rows].tolist(), masks[rows].tolist()):
+                events[pid].append((t_hit, mask))
 
     return DiffusionEnsemble(
         config, x0, n_paths, sample_times, samples, sample_masks,

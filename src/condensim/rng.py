@@ -5,7 +5,8 @@ Every simulated path owns a counter-based Philox stream keyed by
 ensemble produces the same numbers regardless of batching, compaction,
 or scheduling.  The engines step many paths in lockstep; to avoid one
 generator call per path per step, draws are buffered in fixed-size
-blocks per path.
+blocks per path, and a path's generator is built at its first refill,
+so a path that never steps costs no generator.
 
 Lockstep contract: every path passed to ``PathStreams.take`` has taken
 exactly as many steps as every other path passed to it; paths only
@@ -49,8 +50,9 @@ class PathStreams:
     from the stream keyed ``(seed, p)``.  ``take`` gathers the next
     values for a set of paths (identified by their original indices)
     and, at the start of each block of steps, refills the listed paths'
-    buffers from their own generators.  The listed paths must obey the
-    lockstep contract of this module.
+    buffers from their own generators, building each generator at its
+    path's first refill.  The listed paths must obey the lockstep
+    contract of this module.
     """
 
     def __init__(
@@ -64,12 +66,15 @@ class PathStreams:
         self.k = int(values_per_step)
         self.block = int(block)
         self.gaussian = gaussian
-        self._gens = [path_generator(seed, p) for p in range(n_paths)]
+        self._seed = seed
+        self._gens: list[np.random.Generator | None] = [None] * n_paths
         self._buf = np.empty((n_paths, self.block, self.k))
         self._step = 0
 
     def _fill(self, path: int) -> None:
         g = self._gens[path]
+        if g is None:
+            g = self._gens[path] = path_generator(self._seed, path)
         if self.gaussian:
             self._buf[path] = g.standard_normal((self.block, self.k))
         else:
@@ -88,13 +93,17 @@ class PathStreams:
 def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[float, ...]:
     """Validate the run window and its sample grid; return the grid as floats.
 
-    The end (``horizon``, else ``t_max``) must be finite, and the sample
-    times >= 0 and strictly increasing.  Raises ConfigRangeError.
+    The end (``horizon``, else ``t_max``) must be finite and positive,
+    and the sample times >= 0 and strictly increasing; sample times past
+    the end are allowed and stay unfilled.  Raises ConfigRangeError.
     """
     if not (horizon is None or np.isfinite(horizon)):
         raise ConfigRangeError(f"horizon = {horizon} must be finite")
     if not np.isfinite(t_max):
         raise ConfigRangeError(f"t_max = {t_max} must be finite")
+    end = t_max if horizon is None else horizon
+    if not end > 0:
+        raise ConfigRangeError(f"run end {end} (horizon, else t_max) must be positive")
     st = np.asarray(sample_times, dtype=float)
     if not (np.all(st >= 0) and np.all(np.diff(st) > 0)):
         raise ConfigRangeError("sample_times must be >= 0 and strictly increasing")

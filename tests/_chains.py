@@ -66,16 +66,17 @@ def asym4() -> ChainSpec:
     return validate_chain(ASYM4_RATES)
 
 
-def ring8() -> ChainSpec:
-    """The benchmark's non-reversible 8-site ring: i -> i+1 at
-    1.0 + 0.2 (i mod 5), i+1 -> i at 0.5 + 0.1 (i mod 4), and a chord
-    i -> i+4 at 0.3 + 0.1 (i mod 3) from every even site."""
-    rates = np.zeros((8, 8))
-    for i in range(8):
-        rates[i, (i + 1) % 8] = 1.0 + 0.2 * (i % 5)
-        rates[(i + 1) % 8, i] = 0.5 + 0.1 * (i % 4)
+def ring(size: int) -> ChainSpec:
+    """Non-reversible ring on an even number of sites, the benchmark's
+    chain at 8: i -> i+1 at 1.0 + 0.2 (i mod 5), i+1 -> i at
+    0.5 + 0.1 (i mod 4), and a chord i -> i + size/2 at
+    0.3 + 0.1 (i mod 3) from every even site."""
+    rates = np.zeros((size, size))
+    for i in range(size):
+        rates[i, (i + 1) % size] = 1.0 + 0.2 * (i % 5)
+        rates[(i + 1) % size, i] = 0.5 + 0.1 * (i % 4)
         if i % 2 == 0:
-            rates[i, (i + 4) % 8] = 0.3 + 0.1 * (i % 3)
+            rates[i, (i + size // 2) % size] = 0.3 + 0.1 * (i % 3)
     return validate_chain(rates)
 
 

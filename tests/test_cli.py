@@ -289,6 +289,25 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest_diff-run.json").read_text())
         assert manifest["checks"]["completed"] is False
 
+    def test_output_directory_under_a_file_exits_three(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, paths=3)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["chain-info", str(cfg), "--out", str(blocker / "out")]) == 3
+        assert "i/o error:" in capsys.readouterr().err
+
+    def test_non_positive_run_end_is_config_error(self, tmp_path, capsys):
+        # A window with no positive end has nothing to run, in either
+        # engine, even with a sample at t = 0.
+        base = write_config(tmp_path, paths=5, sample_times="[0.0]")[0].read_text()
+        for end in ("0.0", "-1.0"):
+            doc = base.replace("delta: 0.05", f"delta: 0.05\n  horizon: {end}")
+            cfg = tmp_path / f"end{end}.yaml"
+            cfg.write_text(doc + f"diffusion:\n  horizon: {end}\n")
+            for sub in ("zrp-run", "diff-run"):
+                assert main([sub, str(cfg)]) == 2, (end, sub)
+                assert "must be positive" in capsys.readouterr().err, (end, sub)
+
 
 class TestPsi4Check:
     def test_report(self, tmp_path):

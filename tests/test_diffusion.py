@@ -35,7 +35,7 @@ from condensim.errors import (
     ZeroCoordinateError,
 )
 
-from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring8
+from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -222,9 +222,10 @@ class TestEmStep:
 
 
 class TestSimulate:
-    def test_vertex_start_trapped_immediately(self):
+    def test_vertex_start_trapped_immediately(self, generator_calls):
         # A vertex start has condensed at time zero when a threshold is
-        # set; without one t_cond is NaN, as on every other run.
+        # set; without one t_cond is NaN, as on every other run.  It
+        # never steps, so it builds no random generator.
         for cond_delta, t_cond in ((None, np.nan), (0.1, 0.0)):
             config = DiffusionConfig(chain=k3(), b=1.5, seed=3, cond_delta=cond_delta)
             ens = simulate_diffusion_ensemble(config, [1.0, 0.0, 0.0], 1)
@@ -232,6 +233,10 @@ class TestSimulate:
             assert ens.trapped_time[0] == 0.0
             assert ens.events[0] == []
             np.testing.assert_array_equal(ens.t_cond, [t_cond])
+        assert generator_calls == []
+        # An interior start builds one generator per path.
+        simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 2)
+        assert generator_calls == [0, 1]
 
     def test_non_simplex_start_rejected(self):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=3)
@@ -353,6 +358,13 @@ class TestSimulate:
         with pytest.warns(UserWarning):
             DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.1)
 
+    def test_threshold_must_leave_a_coordinate(self):
+        # With eps_abs * L >= 1 one step can put every coordinate under
+        # the threshold and absorb the path to the empty face.
+        with pytest.raises(ConfigRangeError, match="eps_abs"):
+            DiffusionConfig(chain=ring(12), b=1.5, seed=1, eps_abs=0.09)
+        DiffusionConfig(chain=ring(12), b=1.5, seed=1, eps_abs=0.08)
+
     def test_condensation_threshold_in_unit_interval(self):
         # 1.5 would put every t_cond at 0; -0.1 and NaN would record
         # the trap time instead of a threshold crossing.
@@ -371,10 +383,17 @@ def _pinned_cases(noise_scale):
     yield f"k3-horizon-{tag}", DiffusionConfig(
         chain=k3(), seed=8, **common, **horizon
     ), [0.5, 0.3, 0.2], 20
-    yield f"ring8-trap-{tag}", DiffusionConfig(chain=ring8(), seed=9, **common), x8, 10
+    yield f"ring8-trap-{tag}", DiffusionConfig(chain=ring(8), seed=9, **common), x8, 10
     yield f"ring8-horizon-{tag}", DiffusionConfig(
-        chain=ring8(), seed=10, **common, **horizon
+        chain=ring(8), seed=10, **common, **horizon
     ), x8, 10
+    # Ten sites: kept-mass sums of 8 or 9 entries reach numpy's 8-way
+    # unrolled pairwise sum; on eight sites they have at most 7.
+    x10 = np.arange(1.0, 11.0) / 55.0
+    yield f"ring10-trap-{tag}", DiffusionConfig(chain=ring(10), seed=11, **common), x10, 10
+    yield f"ring10-horizon-{tag}", DiffusionConfig(
+        chain=ring(10), seed=12, **common, **horizon
+    ), x10, 10
 
 
 def _digest(ens) -> str:
@@ -396,6 +415,8 @@ PINNED_ODE = {
     "k3-horizon-ode": "f4fc68178781ff59ee02fbd2f6d8c1cb9254903c4345bac637b0ea1d6049d0db",
     "ring8-trap-ode": "71f4a7764809f2068ff65999766e25d07ec1e400aa8093fde6ecf9bb428892ac",
     "ring8-horizon-ode": "f7efb0134f03a2a8e60782c0fd720d2959e539cb47179e19e907946989cc56b4",
+    "ring10-trap-ode": "6b051c3629ef7bc6ed987046bb2295c9340151a236cee71188ebb060c7a19f56",
+    "ring10-horizon-ode": "c764ad30274c479c15e7744f7029e5d5a5dd1c88fe9d68f6b7ac279baefd50c3",
 }
 
 # Noisy runs: the gaussian streams and the per-face noise factor too.  A
@@ -406,6 +427,8 @@ PINNED_NOISY = {
     "k3-horizon-noisy": "89ea09c26b152e7346bdb34f40126b133c3906da48fd6b7be2d59853f32981dc",
     "ring8-trap-noisy": "6d9854488f45fb6a35acc7625b050028bfdfe885c9ebef328716fe4faf97d8db",
     "ring8-horizon-noisy": "36a3e4d3c521f6788acae5c23f9b7d78fb6ac11f957531d7b698e9ba679ea9a8",
+    "ring10-trap-noisy": "33b39a50fe5fff805584c2c5428a6ec50221d43ba69a920a579eba10b2fe506f",
+    "ring10-horizon-noisy": "7f6977dab023bfa45d19fc296a5c672401cdae1093a6fbd3a0645daf1e60785c",
 }
 
 

@@ -16,7 +16,7 @@ from condensim.zrp import (
     zrp_generator_apply,
 )
 
-from _chains import asym3, k3, random_irreducible_chain, ring8
+from _chains import asym3, k3, random_irreducible_chain, ring
 
 
 @pytest.fixture
@@ -138,13 +138,14 @@ class TestSimulate:
         with pytest.raises(BadInitialError):
             simulate_zrp_ensemble(config, [3, 3, 3], 1)
 
-    def test_already_condensed_at_start(self):
+    def test_already_condensed_at_start(self, generator_calls):
         config = ZrpConfig(chain=k3(), n_particles=30, b=1.5, seed=1, delta=0.05)
         ens = simulate_zrp_ensemble(config, [30, 0, 0], 1)
         assert ens.t_cond[0] == 0.0
         assert ens.winner[0] == 0
-        # Stopped at time zero before any jump.
+        # Stopped at time zero before any jump, with no random generator.
         np.testing.assert_array_equal(ens.first_event, [np.nan])
+        assert generator_calls == []
 
     def test_conservation_along_path(self):
         times = tuple(np.linspace(0.0, 0.2, 41))
@@ -288,7 +289,7 @@ def _pinned_cases():
         g_correction=0.7, sample_times=grid, horizon=0.05,
     ), [20, 25, 15], 200
     yield "ring8-horizon", ZrpConfig(
-        chain=ring8(), n_particles=40, b=1.5, seed=5,
+        chain=ring(8), n_particles=40, b=1.5, seed=5,
         sample_times=grid, horizon=0.04,
     ), [5] * 8, 100
     yield "condensed-start", ZrpConfig(

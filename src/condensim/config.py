@@ -41,7 +41,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .chain import ChainSpec, validate_chain
-from .diffusion import DT_RULES
+from .diffusion import DT_RULES, eps_abs_limit
 from .errors import ChainValidationError, ConfigRangeError, ConfigSchemaError
 from .zrp import G_FAMILIES
 
@@ -233,8 +233,11 @@ def _validate_ranges(config: RunConfig) -> None:
         raise ConfigSchemaError("model.N", "must be a nonempty list of positive integers")
     if not diff.dt_base > 0:
         raise ConfigRangeError(f"diffusion.dt_base = {diff.dt_base} must be positive")
-    if not 0 < diff.eps_abs < 0.1:
-        raise ConfigRangeError(f"diffusion.eps_abs = {diff.eps_abs} out of (0, 0.1)")
+    limit = eps_abs_limit(len(config.chain.rates))
+    if not 0 < diff.eps_abs < limit:
+        raise ConfigRangeError(
+            f"diffusion.eps_abs = {diff.eps_abs} out of (0, {limit:g}): below 0.1 and 1/L"
+        )
     if not 0 <= diff.noise_scale <= 1:
         raise ConfigRangeError(f"diffusion.noise_scale = {diff.noise_scale} out of [0, 1]")
     if diff.dt_rule not in DT_RULES:

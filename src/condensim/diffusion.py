@@ -49,6 +49,11 @@ MAX_RELATIVE_MOVE = 0.25
 DT_RULES = ("clamped", "quadratic")
 
 
+def eps_abs_limit(size: int) -> float:
+    """Exclusive upper bound of ``eps_abs`` on an L-site chain: min(0.1, 1/L)."""
+    return 0.1 if size <= 10 else 1.0 / size
+
+
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Parameters of the absorbed-diffusion integrator.
@@ -79,7 +84,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if not self.dt_base > 0:
             raise ConfigRangeError("dt_base must be positive")
-        if not 0 < self.eps_abs < min(0.1, 1.0 / self.chain.size):
+        if not 0 < self.eps_abs < eps_abs_limit(self.chain.size):
             raise ConfigRangeError("eps_abs must be a positive threshold below 0.1 and 1/L")
         if not 0.0 <= self.noise_scale <= 1.0:
             raise ConfigRangeError("noise_scale must be in [0, 1]")

@@ -8,6 +8,14 @@ generator call per path per step, draws are buffered in fixed-size
 blocks per path, and a path's generator is built at its first refill,
 so a path that never steps costs no generator.
 
+The buffer is slot-major, ``(block, n_paths, k)``: the draws of one
+step for every path form one contiguous slab, so a step gathers its
+live rows with one ``take``.  A refill draws a few paths at a time into
+a small fixed scratch of contiguous per-path blocks and writes them
+across the slots, so refilling never needs a second buffer-sized array.
+Buffer and scratch live in an anonymous memory map of their own, off
+the heap.
+
 Lockstep contract: every path passed to ``PathStreams.take`` has taken
 exactly as many steps as every other path passed to it; paths only
 ever leave the live set, never skip a step or join late.  One shared
@@ -21,6 +29,7 @@ run window [0, horizon or t_max]: ``check_window`` validates both, and
 from __future__ import annotations
 
 import hashlib
+import mmap
 
 import numpy as np
 
@@ -43,6 +52,10 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, path_index]))
 
 
+# Bytes of draws one refill pass holds in its scratch: a few paths' blocks.
+REFILL_SCRATCH_BYTES = 1 << 17
+
+
 class PathStreams:
     """Block-buffered per-path draws for the vectorized engines.
 
@@ -53,6 +66,11 @@ class PathStreams:
     buffers from their own generators, building each generator at its
     path's first refill.  The listed paths must obey the lockstep
     contract of this module.
+
+    ``_buf[slot, path]`` holds one step's draws.  A refill fills the
+    scratch, ``REFILL_SCRATCH_BYTES`` at most, with one contiguous
+    ``(block, k)`` array per path, then copies it into the slots, each
+    step's ``k`` draws moved as one record.
     """
 
     def __init__(
@@ -68,26 +86,45 @@ class PathStreams:
         self.gaussian = gaussian
         self._seed = seed
         self._gens: list[np.random.Generator | None] = [None] * n_paths
-        self._buf = np.empty((n_paths, self.block, self.k))
+        chunk = max(1, REFILL_SCRATCH_BYTES // (self.block * self.k * 8))
+        chunk = min(chunk, max(n_paths, 1))
+        # The buffer and the scratch share one anonymous mapping, which
+        # goes back to the system with the streams.  A heap block this
+        # large leaves a hole that the next ensemble's buffer may not
+        # fit, and the process peak RSS then depends on heap layout.
+        cut = self.block * n_paths * self.k
+        self._map = mmap.mmap(-1, (cut + chunk * self.block * self.k) * 8)
+        doubles = np.frombuffer(self._map, dtype=np.float64)
+        self._buf = doubles[:cut].reshape(self.block, n_paths, self.k)
+        self._scratch = doubles[cut:].reshape(chunk, self.block, self.k)
+        # One step's k draws as one opaque record of k doubles: the
+        # transposing copy then moves records, not single doubles.
+        record = np.dtype((np.void, self.k * 8))
+        self._buf_rec = self._buf.view(record)[..., 0]
+        self._scratch_rec = self._scratch.view(record)[..., 0]
         self._step = 0
 
-    def _fill(self, path: int) -> None:
-        g = self._gens[path]
-        if g is None:
-            g = self._gens[path] = path_generator(self._seed, path)
-        if self.gaussian:
-            self._buf[path] = g.standard_normal((self.block, self.k))
-        else:
-            self._buf[path] = g.random((self.block, self.k))
+    def _refill(self, paths: np.ndarray) -> None:
+        chunk = len(self._scratch)
+        for lo in range(0, len(paths), chunk):
+            part = paths[lo : lo + chunk]
+            for row, p in zip(self._scratch, part.tolist()):
+                g = self._gens[p]
+                if g is None:
+                    g = self._gens[p] = path_generator(self._seed, p)
+                if self.gaussian:
+                    g.standard_normal(out=row)
+                else:
+                    g.random(out=row)
+            self._buf_rec[:, part] = self._scratch_rec[: len(part)].T
 
     def take(self, paths: np.ndarray) -> np.ndarray:
         """Next ``values_per_step`` draws for each listed path."""
         slot = self._step % self.block
         if slot == 0:
-            for p in paths:
-                self._fill(int(p))
+            self._refill(paths)
         self._step += 1
-        return self._buf[paths, slot, :]
+        return self._buf[slot].take(paths, axis=0)
 
 
 def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[float, ...]:

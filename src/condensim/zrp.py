@@ -26,6 +26,13 @@ from .rng import PathStreams, check_window, derive_seed, due_samples
 
 G_FAMILIES = ("default", "corrected")
 
+# Live width from which the cumulative rates are E - 1 in-place row adds
+# rather than one np.add.accumulate down the edges, which runs one short
+# inner loop per column; both give the same sums in the same order.  The
+# measured crossover is near 100 columns at E = 6 and near 230 at
+# E = 121 and 272.
+ROW_SCAN_WIDTH = 200
+
 
 def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
     """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
@@ -184,8 +191,15 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
 
     # Rate of edge e at source occupancy k is edge_rate[e * (n + 1) + k].
+    n_edges = src.size
     edge_rate = (table[src] * r_edge[:, None]).flatten()
-    edge_off = np.arange(src.size) * (n + 1)
+    edge_off = (np.arange(n_edges) * (n + 1))[:, None]
+    # Column e is the change of every site's occupancy by a jump along e.
+    jump = np.zeros((size, n_edges), dtype=np.int64)
+    jump[src, np.arange(n_edges)] -= 1
+    jump[dst, np.arange(n_edges)] += 1
+    # The selected edge is a count of edges, below n_edges.
+    count_dtype = np.uint8 if n_edges <= 255 else np.intp
 
     # Live paths are columns: eta[j, c] is the occupancy of site j on the
     # path with original index ids[c].
@@ -194,15 +208,12 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     t = np.zeros(n_paths)
     next_samp = np.zeros(n_paths, dtype=np.int64)
     first_event = np.full(n_paths, np.nan)
-    # Full-width work buffers, viewed at the live width, and few
-    # long-lived 2-D arrays (edge_rate is a flat copy, edge_off is 1-D).
-    # numpy keeps the shape blocks of freed arrays for reuse; one
-    # allocated while the stream buffer lives can stay behind it in the
-    # heap, so that a later ensemble's buffer no longer fits the freed
-    # space and the process peak RSS grows (by 7 MB on configs/asym3.yaml).
+    # Full-width work buffers, viewed at the live width.
     all_cols = np.arange(n_paths)
-    at_buf = np.empty(src.size * n_paths, dtype=np.int64)
-    rate_buf = np.empty(src.size * n_paths)
+    at_buf = np.empty(n_edges * n_paths, dtype=np.int64)
+    off_buf = np.empty(n_edges * n_paths, dtype=np.int64)
+    rate_buf = np.empty(n_edges * n_paths)
+    less_buf = np.empty(n_edges * n_paths, dtype=np.bool_)
 
     if eta0.max() >= cond_level:
         t_cond[:] = 0.0
@@ -223,69 +234,74 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     width = -1
     while ids.size:
         if ids.size != width:
-            # Work arrays and flat jump indices at the new width.
+            # Work arrays at the new width.
             width = ids.size
             col = all_cols[:width]
-            src_flat, dst_flat = src * width, dst * width
-            at = at_buf[: src.size * width].reshape(src.size, width)
-            rates = rate_buf[: src.size * width].reshape(src.size, width)
+            cells = n_edges * width
+            at = at_buf[:cells].reshape(n_edges, width)
+            off = off_buf[:cells].reshape(n_edges, width)
+            off[...] = edge_off
+            rates = rate_buf[:cells].reshape(n_edges, width)
+            total = rates[-1]  # shared with the selection, so u*total < cum[-1]
+            less = less_buf[:cells].reshape(n_edges, width)
+            less_count = less.view(np.uint8)
+            # Row pairs (row, previous row) of the row-wise scan.
+            scan = list(zip(rates[1:], rates[:-1])) if width >= ROW_SCAN_WIDTH else None
         eta.take(src, axis=0, out=at, mode="clip")
-        at += edge_off[:, None]
+        at += off
         edge_rate.take(at, out=rates, mode="clip")
-        cum = np.add.accumulate(rates, axis=0, out=rates)
-        total = cum[-1]  # shared with the selection, so u*total < cum[-1]
-        u = streams.take(ids)
-        tau = -np.log1p(-u[:, 0]) / total
-        t_new = t + tau
+        # Cumulative rates down the edges, cum[e] = cum[e - 1] + rates[e].
+        if scan is None:
+            np.add.accumulate(rates, axis=0, out=rates)
+        else:
+            for row, prev in scan:
+                np.add(row, prev, out=row)
+        u0, u1 = streams.take(ids).T
+        t_new = t - np.log1p(-u0) / total
         if first_pass:
             # All paths are present on the first pass; their first
             # waiting time is the holding time of the initial state.
             first_event[:] = t_new / scale
             first_pass = False
 
-        # NaN-safe: a NaN clock retires its path instead of running forever.
-        done = ~(t_new < end_micro)
-        any_done = done.any()
+        # NaN-safe: a NaN clock retires its path instead of running
+        # forever (a NaN maximum fails the test, and then so does its row).
+        all_live = t_new.max() < end_micro
+        live = None if all_live else t_new < end_micro
         if n_samp:
             # The pre-jump state is the path value on [t, t_new); a
             # retiring path holds it up to the end.
-            bound = np.where(done, end_bound, t_new) if any_done else t_new
+            bound = t_new if all_live else np.where(live, t_new, end_bound)
             rows, slots = due_samples(grid, next_samp, bound)
             samples[ids[rows], slots] = eta[:, rows].T / n
 
         # Jump on every column; retiring columns are dropped below unread.
-        edge = (cum < u[:, 1] * total).sum(axis=0)
-        flat = eta.reshape(-1)  # a view while eta is C-contiguous
-        flat[src_flat[edge] + col] -= 1
-        to = dst_flat[edge] + col
-        landed = flat[to] + 1
-        flat[to] = landed
+        np.less(rates, u1 * total, out=less)
+        edge = less_count.sum(axis=0, dtype=count_dtype)
+        eta += jump.take(edge, axis=1)
         t = t_new
 
         # Condensation record: first time a site holds >= (1-delta) N.
         # Before the jump no site of a path without a record is that
-        # full, so only the receiving site can reach the level.
-        hit = landed >= cond_level
-        if any_done:
-            hit &= ~done
-        shrink = any_done
-        if hit.any():
-            rows = np.nonzero(hit)[0]
+        # full, so only the receiving site can reach the level, and
+        # while no site at all is there, no path has a new record.
+        if eta.max() >= cond_level:
+            to = dst.take(edge)
+            hit = eta[to, col] >= cond_level
+            if live is not None:
+                hit &= live
+            rows = np.flatnonzero(hit)
             if stop_on_condensation:
-                done |= hit
-                shrink = True
+                live = ~hit if live is None else live & ~hit
             else:
                 rows = rows[np.isnan(t_cond[ids[rows]])]
             t_cond[ids[rows]] = t_new[rows] / scale
-            winner[ids[rows]] = dst[edge[rows]]
-        if shrink:
-            keep = ~done
-            ids = ids[keep]
-            # Not eta[:, keep]: that is not C-contiguous, so reshape(-1)
-            # would copy it and the jumps would be lost.
-            eta = eta.compress(keep, axis=1)
-            t = t[keep]
-            next_samp = next_samp[keep]
+            winner[ids[rows]] = to[rows]
+        if live is not None:
+            ids = ids[live]
+            eta = eta.compress(live, axis=1)
+            t = t[live]
+            next_samp = next_samp[live]
 
     return ZrpEnsemble(
         config, eta0, n_paths, np.asarray(config.sample_times),

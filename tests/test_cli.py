@@ -223,6 +223,8 @@ class TestVerify:
         # subcommand that runs that engine.  The stderr line names the
         # offending key.
         parse = ("chain-info", "diff-run")
+        # eps_abs must stay below 1/L as well as 0.1.
+        ring12 = [[1.0 if (j - i) % 12 in (1, 11) else 0.0 for j in range(12)] for i in range(12)]
         typed = {
             "null-b": ("model.b", parse, base.replace("b: 1.5", "b: null")),
             "null-seed": ("experiment.seed", parse, base.replace("seed: 42", "seed: null")),
@@ -245,6 +247,9 @@ class TestVerify:
             "short-x0": ("experiment.x0", ("diff-run", "compare", "verify"), base.replace(
                 "delta: 0.05", exp + "x0: [0.5, 0.5]"
             )),
+            "ring12-eps-abs": ("diffusion.eps_abs", parse, base.replace(
+                "[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]", str(ring12)
+            ) + "diffusion:\n  eps_abs: 0.09\n"),
             "light-eta0": ("experiment.eta0", ("zrp-run", "compare"), base.replace(
                 "delta: 0.05", exp + "eta0: [10, 10, 10]"
             ).replace("N: [20]", "N: [100]")),

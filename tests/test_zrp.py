@@ -295,6 +295,15 @@ def _pinned_cases():
     yield "condensed-start", ZrpConfig(
         chain=k3(), n_particles=30, b=1.5, seed=6, sample_times=grid, horizon=0.05,
     ), [29, 1, 0], 50
+    # 272 edges: the edge count must not wrap in a byte.
+    yield "complete17-horizon", ZrpConfig(
+        chain=validate_chain(np.ones((17, 17)) - np.eye(17)), n_particles=34, b=1.5,
+        seed=7, sample_times=(0.0, 0.025), horizon=0.05,
+    ), [2] * 17, 300
+    # The live width falls from 1000 to 1, through the scan switch.
+    yield "k3-scan-switch", ZrpConfig(
+        chain=k3(), n_particles=60, b=1.5, seed=8, sample_times=(0.0, 0.01, 0.02),
+    ), [20, 20, 20], 1000
 
 
 def _digest(ens) -> str:
@@ -304,13 +313,16 @@ def _digest(ens) -> str:
     return h.hexdigest()
 
 
-# Taken before the site-major rewrite of the lockstep loop; a change
-# that alters a stream on purpose updates them and says so in CHANGES.md.
+# Taken before the site-major rewrite of the lockstep loop (the last two
+# before the row-wise scan and the byte-wide edge count); a change that
+# alters a stream on purpose updates them and says so in CHANGES.md.
 PINNED = {
     "k3-condense": "b75ec7d90328c7d886cb1dd096a6477d9fd1863459174fccd867540740e801f3",
     "asym3-corrected": "d9783676feca704562c1ce63a2dde46927d3a29e306847a3fcd1177c89e935fd",
     "ring8-horizon": "0527b14b2e6447ff2e461041c85164ed5fea926d990d6c4acfb168325b7c009d",
     "condensed-start": "2751d080500a55a0821681f88f1e04bf6dcc54c4b0dbe936b4e05d9eee89c75c",
+    "complete17-horizon": "5c6c888335b37881ba266030908344b23b77b9199ea7607d77402082a43bf093",
+    "k3-scan-switch": "8fd5c47ca291ad8af50a9d61ed2ec19c992766092e96d8f5d2fd53795b784a38",
 }
 
 

@@ -278,7 +278,10 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
         hit.empirical_mean_sigma1 - hit.ci_halfwidth,
         hit.bound,
     ))
-    report = [(*row, manifest.record(row[0], row[2] <= row[3])) for row in checks]
+    report = [
+        (name, detail, value, tol, manifest.record(name, value <= tol, value, tol, detail))
+        for name, detail, value, tol in checks
+    ]
     write_csv(
         outdir / "verify_report.csv",
         ["check", "detail", "value", "threshold", "passed"],
@@ -293,7 +296,10 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
 def cmd_psi4_check(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     chain = config.build_chain()
     psi = _sign_check(config, chain, _sign_subset(config, chain.size))
-    passed = manifest.record("superharmonic_sign", psi.max_value <= SIGN_TOL)
+    passed = manifest.record(
+        "superharmonic_sign", psi.max_value <= SIGN_TOL, psi.max_value, SIGN_TOL,
+        f"B mask {mask_of(psi.B)}",
+    )
     write_csv(
         outdir / "psi4_report.csv",
         [

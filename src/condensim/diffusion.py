@@ -20,7 +20,15 @@ still live.
 The ensemble engine steps all paths in lockstep with numpy; every path
 consumes L gaussians per step from its own counter-based stream, so
 trajectories are reproducible per (config, seed, path index)
-regardless of batching.
+regardless of batching.  Like the ZRP engine it keeps the live paths
+as columns: the state is (L, M), one column per live path, so each
+per-path minimum, maximum, test and hyperplane sum is one numpy pass
+down the L sites rather than a reduction along M short rows.
+``_site_sum`` adds the sites in the order numpy's row sum uses, so
+every output is the same as with paths kept as rows.  Only the noise
+F xi is computed on rows, one (L,) vector per path, and then
+transposed: an einsum down the sites would sum over k in another
+order and change the noisy paths.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .errors import (
     NonSimplexStartError,
     SingularSystemError,
     StepBlowupError,
+    StepStallError,
     ZeroCoordinateError,
 )
 from .rng import PathStreams, check_window, derive_seed, due_samples
@@ -157,23 +166,45 @@ def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
     return np.vstack([low, -low.sum(axis=0)])
 
 
+def _site_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums of an (L, M) array, bit-equal to ``a.T.sum(axis=1)``.
+
+    numpy sums a row of fewer than 8 terms in order; from 8 terms on it
+    adds the first 8 as a pairwise block and the rest in order (for up
+    to 15 terms, which covers the 12-site cap of ``FaceTable``).  The
+    row sum starts from the identity 0, which turns a -0 total into +0.
+    """
+    if a.shape[0] < 8:
+        return a.sum(axis=0)
+    s = a[0:8:2] + a[1:8:2]
+    s = s[0::2] + s[1::2]
+    total = s[0] + s[1]
+    for row in a[8:]:
+        total += row
+    total += 0.0
+    return total
+
+
 def drift(
     faces: FaceTable, masks: np.ndarray, x: np.ndarray, m: np.ndarray, b: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restricted drift b * sum_{j in B} (m_j / x_j) v^B_j, one row per path.
+    """Restricted drift b * sum_{j in B} (m_j / x_j) v^B_j, one column per path.
 
-    Row ``p`` is on the face ``masks[p]`` at the full-length point
-    ``x[p]``.  Returns the (M, L) active-set indicator and the (M, L)
-    drift, which is zero off the active set and sums to zero along each
-    row because every v^B_j does.  Raises ZeroCoordinateError when an
-    active coordinate is not strictly positive (a missed absorption).
+    Column ``c`` is on the face ``masks[c]`` at the full-length point
+    ``x[:, c]``.  Returns the (L, M) active-set indicator and the (L, M)
+    drift, which is zero off the active set and sums to zero down each
+    column because every v^B_j does.  Raises ZeroCoordinateError when
+    an active coordinate is not strictly positive (a missed absorption).
     """
-    active = faces.active[masks]  # (M, L)
-    if not np.all(x[active] > 0):
+    active = faces.active.T.take(masks, axis=1)  # (L, M)
+    x_on = np.where(active, x, 1.0)
+    if not np.all(x_on > 0):
         raise ZeroCoordinateError("zero coordinate inside an active set")
-    vv = faces.drift_v[masks]  # (M, L, L)
-    w = np.where(active, m / np.where(active, x, 1.0), 0.0)
-    return active, b * np.einsum("pj,pjk->pk", w, vv)
+    w = np.where(active, m[:, None] / x_on, 0.0)
+    vv = faces.drift_v.take(masks, axis=0)  # (M, L, L)
+    # einsum writes its (L, M) result transposed; b * it is stored
+    # site-major, so every later pass over the drift reads one layout.
+    return active, np.multiply(b, np.einsum("jm,mjk->km", w, vv), order="C")
 
 
 def em_step(
@@ -187,32 +218,41 @@ def em_step(
     xi: np.ndarray | None,
     noise_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit Euler-Maruyama step per row; absorption is NOT applied.
+    """One explicit Euler-Maruyama step per column; absorption is NOT applied.
 
     The increment is drift_vec * dt + sqrt(dt) * noise, where the noise
-    of row ``p`` is F xi[p] with F = noise_f of its face (so
+    of column ``c`` is F xi[c] with F = noise_f of its face (so
     F F^T = 2 a_s^B) and ``xi`` of shape (M, L) holding L standard
-    gaussians per row; ``xi`` is unused when ``noise_scale`` is 0.
-    ``paths`` names the rows in errors.  Returns the renormalized points
-    and t + dt.  The points may carry negative coordinates; absorption
-    detection owns their handling.  Raises StepBlowupError when a row
-    leaves the hyperplane beyond tolerance (or turns NaN), which signals
-    dt too large near the singular drift.
+    gaussians per path; ``xi`` is unused when ``noise_scale`` is 0.
+    ``x`` and ``drift_vec`` are (L, M); ``paths`` names the columns in
+    errors.  Returns the renormalized points and t + dt.  The points may
+    carry negative coordinates; absorption detection owns their
+    handling.  Raises StepBlowupError when a column leaves the
+    hyperplane beyond tolerance (or turns NaN), which signals dt too
+    large near the singular drift, and StepStallError when a clock does
+    not advance, which would loop forever.
     """
-    xb_new = x + drift_vec * dt[:, None]
+    xb_new = drift_vec * dt
+    xb_new += x
     if noise_scale > 0:
-        incr = np.einsum("pjk,pk->pj", faces.noise_f[masks], xi)
-        xb_new = xb_new + (noise_scale * np.sqrt(dt))[:, None] * incr
+        incr = np.einsum("pjk,pk->pj", faces.noise_f.take(masks, axis=0), xi).T
+        xb_new += (noise_scale * np.sqrt(dt)) * incr
 
-    total = xb_new.sum(axis=1)
+    total = _site_sum(xb_new)
     bad = ~(np.abs(total - 1.0) <= SUM_TOL)
     if bad.any():
-        row = int(np.nonzero(bad)[0][0])
+        col = int(np.flatnonzero(bad)[0])
         raise StepBlowupError(
-            f"hyperplane violated by {total[row] - 1.0:.3e} on path "
-            f"{paths[row]} at t={t[row]:.6g}, x={x[row]}"
+            f"hyperplane violated by {total[col] - 1.0:.3e} on path "
+            f"{paths[col]} at t={t[col]:.6g}, x={x[:, col]}"
         )
-    return xb_new / total[:, None], t + dt
+    t_new = t + dt
+    advanced = t_new > t
+    if not advanced.all():
+        col = int(advanced.argmin())
+        raise StepStallError(f"path {paths[col]} does not advance from t={t[col]:.6g}")
+    xb_new /= total
+    return xb_new, t_new
 
 
 @dataclass
@@ -262,7 +302,7 @@ def simulate_diffusion_ensemble(
     sample_masks = np.zeros((n_paths, n_samp), dtype=np.int64) if n_samp else None
 
     ids = np.arange(n_paths)
-    x = np.tile(x0, (n_paths, 1))
+    x = np.repeat(x0[:, None], n_paths, axis=1)  # (L, M): one column per live path
     t = np.zeros(n_paths)
     masks = np.full(n_paths, mask_of(np.nonzero(x0 > 0)[0]), dtype=np.int64)
     next_samp = np.zeros(n_paths, dtype=np.int64)
@@ -276,34 +316,36 @@ def simulate_diffusion_ensemble(
     )
     eta = MAX_RELATIVE_MOVE
     eps_guard = config.eps_guard
-    ns2 = config.noise_scale**2
+    # Per-face noise variance per unit time, one column per face.
+    noise_var = np.ascontiguousarray((config.noise_scale**2 * faces.noise_diag).T)
 
     while True:
         # Observe: the state at t stands for the times in (t_prev, t]
         # (the start for t = 0 alone), never past the end; a trapped
         # vertex stands for the rest of the run.
         if cond_level is not None:
-            crossed = (x.max(axis=1) >= cond_level) & np.isnan(t_cond[ids])
+            crossed = (np.maximum.reduce(x, axis=0) >= cond_level) & np.isnan(t_cond[ids])
             t_cond[ids[crossed]] = t[crossed]
         trapped = (masks & (masks - 1)) == 0
         if n_samp:
             bound = np.nextafter(np.minimum(t, end_time), np.inf)
             bound[trapped] = end_bound
-            rows, slots = due_samples(grid, next_samp, bound)
-            samples[ids[rows], slots] = x[rows]
-            sample_masks[ids[rows], slots] = masks[rows]
+            cols, slots = due_samples(grid, next_samp, bound)
+            samples[ids[cols], slots] = x[:, cols].T
+            sample_masks[ids[cols], slots] = masks[cols]
         trapped_vertex[ids[trapped]] = faces.active[masks[trapped]].argmax(axis=1)
         trapped_time[ids[trapped]] = t[trapped]
         retire = trapped | (t >= end_time)
         if retire.any():
             keep = ~retire
-            ids, x, t, masks, next_samp = (a[keep] for a in (ids, x, t, masks, next_samp))
+            ids, t, masks, next_samp = (a[keep] for a in (ids, t, masks, next_samp))
+            x = x.compress(keep, axis=1)
         if not ids.size:
             break
 
         active, drift_vec = drift(faces, masks, x, chain.m, config.b)
         xa = np.where(active, x, np.inf)
-        xmin = xa.min(axis=1)
+        xmin = np.minimum.reduce(xa, axis=0)
         dt = config.dt_base * np.minimum(1.0, (xmin / eps_guard) ** 2)
         if config.dt_rule == "clamped":
             # Keep both |drift| dt and the noise std within a fraction
@@ -311,9 +353,10 @@ def simulate_diffusion_ensemble(
             # not bound the relative move at desk-scale dt_base.  A zero
             # drift or noise entry divides to an infinite cap, and off
             # the face xa is infinite, so neither cap binds there.
+            move = eta * xa
             with np.errstate(divide="ignore"):
-                cap_d = (eta * xa / np.abs(drift_vec)).min(axis=1)
-                cap_n = ((eta * xa) ** 2 / (ns2 * faces.noise_diag[masks])).min(axis=1)
+                cap_d = np.minimum.reduce(move / np.abs(drift_vec), axis=0)
+                cap_n = np.minimum.reduce(move**2 / noise_var.take(masks, axis=1), axis=0)
             dt = np.minimum(dt, np.minimum(cap_d, cap_n))
 
         xi = None
@@ -323,25 +366,26 @@ def simulate_diffusion_ensemble(
 
         # Absorption: coordinates at or below the threshold (including
         # negatives) are glued to zero; simultaneous hits allowed.  As
-        # eps_abs < 1/L, every hit row keeps a coordinate.
+        # eps_abs < 1/L, every hit path keeps a coordinate.  The few hit
+        # columns are handled as rows.
         hit = (x <= config.eps_abs) & active
-        rows = np.flatnonzero(hit.any(axis=1))
-        if rows.size:
-            keep = active[rows] & ~hit[rows]
-            x_hit = np.where(keep, x[rows], 0.0)
+        cols = np.flatnonzero(np.logical_or.reduce(hit, axis=0))
+        if cols.size:
+            keep = (active[:, cols] & ~hit[:, cols]).T
+            x_hit = np.where(keep, x[:, cols].T, 0.0)
             # Each row's kept mass is summed over its kept entries alone,
             # in order: zero padding would change numpy's pairwise sum.
             n_kept = keep.sum(axis=1)
-            rem = np.empty(rows.size)
+            rem = np.empty(cols.size)
             for k in np.unique(n_kept):
                 same = n_kept == k
                 rem[same] = x_hit[same][keep[same]].reshape(-1, k).sum(axis=1)
-            x[rows] = x_hit / rem[:, None]
-            masks[rows] = keep @ (1 << np.arange(size))
-            pids = ids[rows]
+            x[:, cols] = (x_hit / rem[:, None]).T
+            masks[cols] = keep @ (1 << np.arange(size))
+            pids = ids[cols]
             first = np.isnan(sigma1[pids])
-            sigma1[pids[first]] = t[rows[first]]
-            for pid, t_hit, mask in zip(pids.tolist(), t[rows].tolist(), masks[rows].tolist()):
+            sigma1[pids[first]] = t[cols[first]]
+            for pid, t_hit, mask in zip(pids.tolist(), t[cols].tolist(), masks[cols].tolist()):
                 events[pid].append((t_hit, mask))
 
     return DiffusionEnsemble(

@@ -56,6 +56,10 @@ class StepBlowupError(CondensimError):
     """An integrator step left the simplex hyperplane beyond tolerance."""
 
 
+class StepStallError(CondensimError):
+    """An integrator step did not advance a path's clock."""
+
+
 class NonSimplexStartError(CondensimError):
     """A starting point is not on the simplex."""
 

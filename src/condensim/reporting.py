@@ -8,6 +8,7 @@ timestamps appear; timestamps live only in the manifest.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -47,6 +48,7 @@ class ManifestTimer:
         self.seed = seed
         self.seed_source = seed_source
         self.checks: dict[str, bool] = {}
+        self.check_values: dict[str, dict] = {}
         # What the run's numbers may depend on besides config and seed.
         self.environment = {
             "python": platform.python_version(),
@@ -58,8 +60,21 @@ class ManifestTimer:
         self._start = time.monotonic()
         self._wall = time.time()
 
-    def record(self, name: str, passed: bool) -> bool:
+    def record(
+        self, name: str, passed: bool, value=None, threshold=None, detail: str | None = None
+    ) -> bool:
+        """Store a check's verdict and, given a value, what it was judged on.
+
+        A non-finite value or threshold is stored as None (JSON null), so
+        the manifest stays strict JSON.
+        """
         self.checks[name] = bool(passed)
+        if value is not None:
+            self.check_values[name] = {
+                "value": _finite_or_none(value),
+                "threshold": _finite_or_none(threshold),
+                "detail": detail,
+            }
         return bool(passed)
 
     @property
@@ -79,7 +94,12 @@ class ManifestTimer:
             "wall_time_s": round(time.monotonic() - self._start, 3),
             "started_unix": self._wall,
             "checks": self.checks,
+            "check_values": self.check_values,
             "environment": self.environment,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
+
+
+def _finite_or_none(value) -> float | None:
+    return float(value) if value is not None and math.isfinite(value) else None

@@ -171,6 +171,9 @@ class TestVerify:
         assert float(checks["partition_of_unity"][2]) <= 1e-12
         manifest = json.loads((out / "run_manifest_verify.json").read_text())
         assert all(manifest["checks"].values())
+        bound = manifest["check_values"]["hitting_bound"]
+        assert bound["value"] == float(checks["hitting_bound"][2])
+        assert bound["threshold"] == float(checks["hitting_bound"][3])
 
     def test_one_path_fails_hitting_bound(self, tmp_path):
         # One sigma1 sample has no confidence interval, so the bound
@@ -181,6 +184,23 @@ class TestVerify:
         checks = {r[0]: r for r in rows}
         assert checks["hitting_bound"][-1] == "false"
         assert all(r[-1] == "true" for name, r in checks.items() if name != "hitting_bound")
+        # The manifest keeps each row's value and threshold; the NaN
+        # value is null, so the file is strict JSON.
+        text = (out / "run_manifest_verify.json").read_text()
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the manifest")
+
+        manifest = json.loads(text, parse_constant=no_constant)
+        values = manifest["check_values"]
+        assert set(values) == set(checks) == set(manifest["checks"])
+        bound = values["hitting_bound"]
+        assert bound["value"] is None
+        assert bound["threshold"] == float(checks["hitting_bound"][3])
+        assert bound["detail"] == checks["hitting_bound"][1]
+        drift = values["trace_drift_vs_harmonic"]
+        assert drift["value"] == float(checks["trace_drift_vs_harmonic"][2])
+        assert drift["threshold"] == float(checks["trace_drift_vs_harmonic"][3])
 
     def test_exit_codes_for_bad_configs(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"

@@ -21,6 +21,7 @@ from condensim.chain import (
 from condensim.diffusion import (
     DiffusionConfig,
     FaceTable,
+    _site_sum,
     drift,
     drift_field,
     em_step,
@@ -32,6 +33,7 @@ from condensim.errors import (
     NonSimplexStartError,
     SingularSystemError,
     StepBlowupError,
+    StepStallError,
     ZeroCoordinateError,
 )
 
@@ -49,6 +51,18 @@ def two_site():
     return validate_chain([[0.0, 1.0], [1.0, 0.0]])
 
 
+def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, timeout=timeout,
+        capture_output=True, text=True,
+    )
+
+
 def face_masks(x: np.ndarray) -> np.ndarray:
     """Bitmask of the strictly positive coordinates of each row."""
     return ((x > 0) << np.arange(x.shape[1])).sum(axis=1)
@@ -57,7 +71,7 @@ def face_masks(x: np.ndarray) -> np.ndarray:
 def engine_drift(chain, x, b):
     """The engine's drift at the rows of x, each on its own support."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return drift(FaceTable(chain), face_masks(x), x, chain.m, b)[1]
+    return drift(FaceTable(chain), face_masks(x), x.T, chain.m, b)[1].T
 
 
 def engine_step(chain, x, dt, xi=None, b=1.5, noise_scale=1.0):
@@ -65,14 +79,14 @@ def engine_step(chain, x, dt, xi=None, b=1.5, noise_scale=1.0):
     faces = FaceTable(chain)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     masks = face_masks(x)
-    _, drift_vec = drift(faces, masks, x, chain.m, b)
+    _, drift_vec = drift(faces, masks, x.T, chain.m, b)
     xi = np.zeros((1, chain.size)) if xi is None else xi[None]
     x_new, t_new = em_step(
-        faces, masks, np.arange(1), x, np.zeros(1), drift_vec,
+        faces, masks, np.arange(1), x.T, np.zeros(1), drift_vec,
         np.full(1, dt), xi, noise_scale,
     )
     assert t_new[0] == dt
-    return x_new[0]
+    return x_new[:, 0]
 
 
 class TestDrift:
@@ -103,7 +117,7 @@ class TestDrift:
         for bad in (0.0, np.nan):
             x = np.array([[bad, 0.5, 0.5]])
             with pytest.raises(ZeroCoordinateError):
-                drift(faces, np.array([0b111]), x, k3().m, 1.5)
+                drift(faces, np.array([0b111]), x.T, k3().m, 1.5)
 
 
 class TestNoiseBasis:
@@ -171,10 +185,10 @@ class TestNoiseBasis:
         x = np.zeros((n, 5))
         x[:, members] = [0.3, 0.2, 0.25, 0.25]
         x_new, _ = em_step(
-            faces, np.full(n, mask), np.arange(n), x, np.zeros(n), np.zeros((n, 5)),
+            faces, np.full(n, mask), np.arange(n), x.T, np.zeros(n), np.zeros((5, n)),
             np.full(n, dt), rng.standard_normal((n, 5)), 1.0,
         )
-        incr = x_new - x
+        incr = x_new.T - x
         assert np.all(incr[:, 3] == 0.0)
         cov = incr.T @ incr / (n * dt)
         want = np.zeros((5, 5))
@@ -216,8 +230,8 @@ class TestEmStep:
         x = np.full((1, 3), 1 / 3)
         with pytest.raises(StepBlowupError):
             em_step(
-                faces, np.array([0b111]), np.arange(1), x, np.zeros(1),
-                np.array([[np.nan, 0.0, 0.0]]), np.full(1, 1e-3), np.zeros((1, 3)), 1.0,
+                faces, np.array([0b111]), np.arange(1), x.T, np.zeros(1),
+                np.array([[np.nan, 0.0, 0.0]]).T, np.full(1, 1e-3), np.zeros((1, 3)), 1.0,
             )
 
 
@@ -342,15 +356,39 @@ class TestSimulate:
             "ens = simulate_diffusion_ensemble(config, np.full(10, 0.1), 500)\n"
             "assert np.all(np.isfinite(ens.samples))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        ))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, timeout=120,
-            capture_output=True, text=True,
-        )
+        done = run_python(script, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_zero_step_raises_instead_of_hanging(self):
+        # A step of 0 (here forced past the config check) leaves every
+        # clock where it is; the loop must fail, not spin forever.
+        script = (
+            "import numpy as np\n"
+            "from condensim.chain import validate_chain\n"
+            "from condensim.diffusion import DiffusionConfig, simulate_diffusion_ensemble\n"
+            "from condensim.errors import StepStallError\n"
+            f"chain = validate_chain(np.array({k3().rates.tolist()!r}))\n"
+            "config = DiffusionConfig(chain, b=1.5, seed=1)\n"
+            "object.__setattr__(config, 'dt_base', 0.0)\n"
+            "try:\n"
+            "    simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 4)\n"
+            "except StepStallError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no StepStallError')\n"
+        )
+        done = run_python(script, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("path 0 does not advance from t=0")
+
+    def test_zero_step_names_the_stalled_path(self):
+        faces = FaceTable(k3())
+        x = np.full((3, 2), 1 / 3)
+        with pytest.raises(StepStallError, match="path 7 does not advance from t=0.5"):
+            em_step(
+                faces, np.full(2, 0b111), np.array([3, 7]), x, np.full(2, 0.5),
+                np.zeros((3, 2)), np.array([1e-3, 0.0]), None, 0.0,
+            )
 
     def test_small_b_requires_override(self):
         with pytest.raises(ConfigRangeError):
@@ -394,6 +432,13 @@ def _pinned_cases(noise_scale):
     yield f"ring10-horizon-{tag}", DiffusionConfig(
         chain=ring(10), seed=12, **common, **horizon
     ), x10, 10
+    # Twelve sites, the FaceTable cap: hyperplane sums add an 8-way
+    # block and then 4 sites in order.
+    x12 = np.arange(1.0, 13.0) / 78.0
+    yield f"ring12-trap-{tag}", DiffusionConfig(chain=ring(12), seed=13, **common), x12, 60
+    yield f"ring12-horizon-{tag}", DiffusionConfig(
+        chain=ring(12), seed=14, **common, **horizon
+    ), x12, 60
 
 
 def _digest(ens) -> str:
@@ -417,6 +462,8 @@ PINNED_ODE = {
     "ring8-horizon-ode": "f7efb0134f03a2a8e60782c0fd720d2959e539cb47179e19e907946989cc56b4",
     "ring10-trap-ode": "6b051c3629ef7bc6ed987046bb2295c9340151a236cee71188ebb060c7a19f56",
     "ring10-horizon-ode": "c764ad30274c479c15e7744f7029e5d5a5dd1c88fe9d68f6b7ac279baefd50c3",
+    "ring12-trap-ode": "67d1b170ded5f1b56ba94ddc8239ff93f4dcbcd522b21b6d4c6df178f9f5fa5b",
+    "ring12-horizon-ode": "6ffcdecab337f836472539306df4c6de5bc167b159fd8c8280b0657996d0ec5e",
 }
 
 # Noisy runs: the gaussian streams and the per-face noise factor too.  A
@@ -429,6 +476,8 @@ PINNED_NOISY = {
     "ring8-horizon-noisy": "36a3e4d3c521f6788acae5c23f9b7d78fb6ac11f957531d7b698e9ba679ea9a8",
     "ring10-trap-noisy": "33b39a50fe5fff805584c2c5428a6ec50221d43ba69a920a579eba10b2fe506f",
     "ring10-horizon-noisy": "7f6977dab023bfa45d19fc296a5c672401cdae1093a6fbd3a0645daf1e60785c",
+    "ring12-trap-noisy": "69d557e5e19439717b9845da3fad821e4698fdc60a23cc74823b0cab45439dee",
+    "ring12-horizon-noisy": "c05c5705a247705b08dc9be13e26d4077679ea7c452f264e85b043dc3c0326fd",
 }
 
 
@@ -443,6 +492,20 @@ def test_engine_outputs_pinned(noise_scale, pinned):
         for name, config, x0, paths in _pinned_cases(noise_scale)
     }
     assert got == pinned
+
+
+@pytest.mark.parametrize("size", range(2, 13))
+def test_site_sum_is_numpys_row_sum(size):
+    # The engine's hyperplane sum runs down the sites of (L, M) columns;
+    # it must round like numpy's sum along each (M, L) row, to the bit.
+    # A numpy that reorders its pairwise sum fails here first.
+    rng = np.random.default_rng(size)
+    scale = rng.choice([1.0, 1e-7, 1e4], size=(400, size))
+    a = rng.standard_normal((400, size)) * scale
+    a[:5] = 0.0
+    a[5:10] = -0.0
+    got = _site_sum(a.T.copy())
+    np.testing.assert_array_equal(got.view(np.uint64), a.sum(axis=1).view(np.uint64))
 
 
 @settings(max_examples=40)
@@ -541,12 +604,12 @@ def test_sample_at_a_step_time_is_that_steps_state(two_site):
     )
     ens = simulate_diffusion_ensemble(config, [0.25, 0.75], 1)
     faces, masks = FaceTable(two_site), np.array([0b11])
-    x, t = np.array([[0.25, 0.75]]), np.zeros(1)
+    x, t = np.array([[0.25, 0.75]]).T, np.zeros(1)
     for _ in range(3):
         _, v = drift(faces, masks, x, two_site.m, 1.5)
         x, t = em_step(faces, masks, np.arange(1), x, t, v, np.full(1, h), None, 0.0)
     assert t[0] == 3 * h
-    np.testing.assert_array_equal(ens.samples[0, 0], x[0])
+    np.testing.assert_array_equal(ens.samples[0, 0], x[:, 0])
 
 
 @settings(max_examples=25)

@@ -94,6 +94,12 @@ def _diffusion(
         raise ConfigSchemaError("experiment.x0", str(exc)) from exc
 
 
+def _absorbing_start(config: RunConfig) -> None:
+    """compare and verify read first absorption times; a vertex start has none."""
+    if sum(v > 0 for v in config.experiment.x0 or ()) == 1:
+        raise ConfigSchemaError("experiment.x0", "a vertex is never absorbed; only diff-run runs it")
+
+
 def _zrp(
     config: RunConfig, chain: ChainSpec, n: int, seed: int, sampled: bool
 ) -> ZrpEnsemble:
@@ -227,6 +233,7 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
 
 
 def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
+    _absorbing_start(config)
     chain = config.build_chain()
     dens = _diffusion(config, chain, manifest.seed, sampled=False)
     hist_d = winner_distribution(
@@ -262,6 +269,7 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
 def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     """Each check is a row (name, detail, value, threshold); it passes
     when value <= threshold, so a NaN value fails."""
+    _absorbing_start(config)
     chain = config.build_chain()
     checks = chain_identity_residuals(chain)
     subset = _sign_subset(config, chain.size)

@@ -22,17 +22,18 @@ consumes L gaussians per step from its own counter-based stream, so
 trajectories are reproducible per (config, seed, path index)
 regardless of batching.  Like the ZRP engine it keeps the live paths
 as columns: the state is (L, M), one column per live path, so each
-per-path minimum, maximum, test and hyperplane sum is one numpy pass
-down the L sites rather than a reduction along M short rows.
-``_site_sum`` adds the sites in the order numpy's row sum uses, so
-every output is the same as with paths kept as rows.  Only the noise
-F xi is computed on rows, one (L,) vector per path, and then
-transposed: an einsum down the sites would sum over k in another
-order and change the noisy paths.
+per-path minimum, maximum, test and sum is one numpy pass down the L
+sites, in numpy's own order, rather than a reduction along M short
+rows.  Only the noise F xi is computed on rows, one (L,) vector per
+path, and then transposed, because that einsum is faster than one
+down the sites.  The last step of a run is cut to end on the run's
+end (the horizon, else ``t_max``), so no record or sample stands for
+a later time.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -126,7 +127,8 @@ class FaceTable:
     ``noise_diag`` is the diagonal of 2 a_s^B.  ``active`` marks the
     sites of each face, so a vertex (a mask with one bit) is the argmax
     of its row.  Faces with fewer than two sites stay zero; a trapped
-    path never gathers them.
+    path never gathers them.  The arrays are read-only, so ensembles on
+    equal chains share one table.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -148,6 +150,14 @@ class FaceTable:
             self.drift_v[mask][np.ix_(members, members)] = trace.generator
             self.noise_f[mask, members, : len(members) - 1] = _noise_factor(a_s)
             self.noise_diag[mask, members] = 2.0 * np.diag(a_s)
+        for table in (self.drift_v, self.noise_f, self.noise_diag, self.active):
+            table.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _face_table(chain: ChainSpec) -> FaceTable:
+    """The read-only table of ``chain``, built once for equal chains."""
+    return FaceTable(chain)
 
 
 def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
@@ -164,25 +174,6 @@ def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Dirichlet matrix is not positive on the face: {exc}") from exc
     return np.vstack([low, -low.sum(axis=0)])
-
-
-def _site_sum(a: np.ndarray) -> np.ndarray:
-    """Column sums of an (L, M) array, bit-equal to ``a.T.sum(axis=1)``.
-
-    numpy sums a row of fewer than 8 terms in order; from 8 terms on it
-    adds the first 8 as a pairwise block and the rest in order (for up
-    to 15 terms, which covers the 12-site cap of ``FaceTable``).  The
-    row sum starts from the identity 0, which turns a -0 total into +0.
-    """
-    if a.shape[0] < 8:
-        return a.sum(axis=0)
-    s = a[0:8:2] + a[1:8:2]
-    s = s[0::2] + s[1::2]
-    total = s[0] + s[1]
-    for row in a[8:]:
-        total += row
-    total += 0.0
-    return total
 
 
 def drift(
@@ -238,7 +229,7 @@ def em_step(
         incr = np.einsum("pjk,pk->pj", faces.noise_f.take(masks, axis=0), xi).T
         xb_new += (noise_scale * np.sqrt(dt)) * incr
 
-    total = _site_sum(xb_new)
+    total = xb_new.sum(axis=0)
     bad = ~(np.abs(total - 1.0) <= SUM_TOL)
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
@@ -284,7 +275,7 @@ def simulate_diffusion_ensemble(
     if not abs(x0.sum() - 1.0) <= SUM_TOL:
         raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
     x0 = x0 / x0.sum()
-    faces = FaceTable(chain)
+    faces = _face_table(chain)
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size
@@ -328,7 +319,7 @@ def simulate_diffusion_ensemble(
             t_cond[ids[crossed]] = t[crossed]
         trapped = (masks & (masks - 1)) == 0
         if n_samp:
-            bound = np.nextafter(np.minimum(t, end_time), np.inf)
+            bound = np.nextafter(t, np.inf)
             bound[trapped] = end_bound
             cols, slots = due_samples(grid, next_samp, bound)
             samples[ids[cols], slots] = x[:, cols].T
@@ -358,30 +349,27 @@ def simulate_diffusion_ensemble(
                 cap_d = np.minimum.reduce(move / np.abs(drift_vec), axis=0)
                 cap_n = np.minimum.reduce(move**2 / noise_var.take(masks, axis=1), axis=0)
             dt = np.minimum(dt, np.minimum(cap_d, cap_n))
+        # The last step ends on the end of the run.
+        dt = np.minimum(dt, end_time - t)
 
         xi = None
         if config.noise_scale > 0:
             xi = streams.take(ids)
         x, t = em_step(faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale)
+        # Below end/2 the gap end - t is rounded, so t + dt can land an
+        # ulp past the end (clamped here) or short of it (one more step).
+        np.minimum(t, end_time, out=t)
 
         # Absorption: coordinates at or below the threshold (including
         # negatives) are glued to zero; simultaneous hits allowed.  As
-        # eps_abs < 1/L, every hit path keeps a coordinate.  The few hit
-        # columns are handled as rows.
+        # eps_abs < 1/L, every hit path keeps a coordinate.
         hit = (x <= config.eps_abs) & active
         cols = np.flatnonzero(np.logical_or.reduce(hit, axis=0))
         if cols.size:
-            keep = (active[:, cols] & ~hit[:, cols]).T
-            x_hit = np.where(keep, x[:, cols].T, 0.0)
-            # Each row's kept mass is summed over its kept entries alone,
-            # in order: zero padding would change numpy's pairwise sum.
-            n_kept = keep.sum(axis=1)
-            rem = np.empty(cols.size)
-            for k in np.unique(n_kept):
-                same = n_kept == k
-                rem[same] = x_hit[same][keep[same]].reshape(-1, k).sum(axis=1)
-            x[:, cols] = (x_hit / rem[:, None]).T
-            masks[cols] = keep @ (1 << np.arange(size))
+            keep = active[:, cols] & ~hit[:, cols]
+            x_hit = np.where(keep, x[:, cols], 0.0)
+            x[:, cols] = x_hit / x_hit.sum(axis=0)
+            masks[cols] = (1 << np.arange(size)) @ keep
             pids = ids[cols]
             first = np.isnan(sigma1[pids])
             sigma1[pids[first]] = t[cols[first]]

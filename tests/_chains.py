@@ -67,10 +67,10 @@ def asym4() -> ChainSpec:
 
 
 def ring(size: int) -> ChainSpec:
-    """Non-reversible ring on an even number of sites, the benchmark's
-    chain at 8: i -> i+1 at 1.0 + 0.2 (i mod 5), i+1 -> i at
-    0.5 + 0.1 (i mod 4), and a chord i -> i + size/2 at
-    0.3 + 0.1 (i mod 3) from every even site."""
+    """Non-reversible ring, the benchmark's chain at 8 sites:
+    i -> i+1 at 1.0 + 0.2 (i mod 5), i+1 -> i at 0.5 + 0.1 (i mod 4),
+    and a chord i -> i + size//2 at 0.3 + 0.1 (i mod 3) from every
+    even site."""
     rates = np.zeros((size, size))
     for i in range(size):
         rates[i, (i + 1) % size] = 1.0 + 0.2 * (i % 5)

@@ -282,6 +282,27 @@ class TestVerify:
                 assert main([sub, str(cfg)]) == 2, (name, sub)
                 assert f"config error: {key}" in capsys.readouterr().err, (name, sub)
 
+    def test_vertex_start_only_for_diff_run(self, tmp_path, capsys, monkeypatch):
+        # A vertex start is never absorbed.  compare and verify read the
+        # first absorption time, so they reject it before simulating;
+        # diff-run still runs it.
+        import condensim.cli as cli
+
+        doc = write_config(tmp_path, paths=5)[0].read_text()
+        cfg = tmp_path / "vertex.yaml"
+        cfg.write_text(doc.replace("delta: 0.05", "delta: 0.05\n  x0: [1.0, 0.0, 0.0]"))
+        runs, simulate = [], cli.simulate_diffusion_ensemble
+        monkeypatch.setattr(
+            cli, "simulate_diffusion_ensemble", lambda *a: runs.append(a) or simulate(*a)
+        )
+        capsys.readouterr()
+        for sub in ("compare", "verify"):
+            assert main([sub, str(cfg)]) == 2, sub
+            assert "config error: experiment.x0" in capsys.readouterr().err, sub
+        assert runs == []
+        assert main(["diff-run", str(cfg)]) == 0
+        assert len(runs) == 1
+
 
 class TestExitCodes:
     def test_failed_check_exits_one(self, tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from condensim.chain import (
 from condensim.diffusion import (
     DiffusionConfig,
     FaceTable,
-    _site_sum,
     drift,
     drift_field,
     em_step,
@@ -37,7 +36,7 @@ from condensim.errors import (
     ZeroCoordinateError,
 )
 
-from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring
+from _chains import all_subsets_with_at_least, k3, k4, random_irreducible_chain, ring
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -421,19 +420,23 @@ def _pinned_cases(noise_scale):
     yield f"k3-horizon-{tag}", DiffusionConfig(
         chain=k3(), seed=8, **common, **horizon
     ), [0.5, 0.3, 0.2], 20
+    # Seven sites: every sum down the sites has at most 7 terms, which
+    # numpy adds in order whether the paths are rows or columns.
+    x7 = np.arange(1.0, 8.0) / 28.0
+    yield f"ring7-trap-{tag}", DiffusionConfig(chain=ring(7), seed=15, **common), x7, 20
     yield f"ring8-trap-{tag}", DiffusionConfig(chain=ring(8), seed=9, **common), x8, 10
     yield f"ring8-horizon-{tag}", DiffusionConfig(
         chain=ring(8), seed=10, **common, **horizon
     ), x8, 10
-    # Ten sites: kept-mass sums of 8 or 9 entries reach numpy's 8-way
-    # unrolled pairwise sum; on eight sites they have at most 7.
+    # Ten sites: faces wide enough for kept-mass sums of 8 or 9 terms,
+    # which numpy adds pairwise, not in order.
     x10 = np.arange(1.0, 11.0) / 55.0
     yield f"ring10-trap-{tag}", DiffusionConfig(chain=ring(10), seed=11, **common), x10, 10
     yield f"ring10-horizon-{tag}", DiffusionConfig(
         chain=ring(10), seed=12, **common, **horizon
     ), x10, 10
-    # Twelve sites, the FaceTable cap: hyperplane sums add an 8-way
-    # block and then 4 sites in order.
+    # Twelve sites, the FaceTable cap: the widest faces, with hyperplane
+    # and kept-mass sums of up to 12 terms.
     x12 = np.arange(1.0, 13.0) / 78.0
     yield f"ring12-trap-{tag}", DiffusionConfig(chain=ring(12), seed=13, **common), x12, 60
     yield f"ring12-horizon-{tag}", DiffusionConfig(
@@ -452,18 +455,19 @@ def _digest(ens) -> str:
     return h.hexdigest()
 
 
-# Drift-only runs: every formula but the noise.  Taken before the noise
-# moved from one gaussian per ordered pair to one factor per face, and
-# unchanged by it.
+# Drift-only runs: every formula but the noise.  Like the noisy runs,
+# a change that alters their rounding on purpose updates them and says
+# so in CHANGES.md.
 PINNED_ODE = {
     "k3-trap-ode": "6ecc7cdb53975ea122c407d47baa111066ea27839c0d48212890ebb148b33138",
     "k3-horizon-ode": "f4fc68178781ff59ee02fbd2f6d8c1cb9254903c4345bac637b0ea1d6049d0db",
-    "ring8-trap-ode": "71f4a7764809f2068ff65999766e25d07ec1e400aa8093fde6ecf9bb428892ac",
-    "ring8-horizon-ode": "f7efb0134f03a2a8e60782c0fd720d2959e539cb47179e19e907946989cc56b4",
-    "ring10-trap-ode": "6b051c3629ef7bc6ed987046bb2295c9340151a236cee71188ebb060c7a19f56",
-    "ring10-horizon-ode": "c764ad30274c479c15e7744f7029e5d5a5dd1c88fe9d68f6b7ac279baefd50c3",
-    "ring12-trap-ode": "67d1b170ded5f1b56ba94ddc8239ff93f4dcbcd522b21b6d4c6df178f9f5fa5b",
-    "ring12-horizon-ode": "6ffcdecab337f836472539306df4c6de5bc167b159fd8c8280b0657996d0ec5e",
+    "ring7-trap-ode": "779304482d55c27b95ada2d9f91c0ab4c2f3d57dca26c8f54568643630d394b4",
+    "ring8-trap-ode": "16b8189e5abf636065e43bbf04f977c6505c214527430cdf7a6cad6eab15f4ba",
+    "ring8-horizon-ode": "38fcac9749d1d0f443cd1e8a00bc282d6e527ffb43f2d8e0ab9a0f740e7b58ec",
+    "ring10-trap-ode": "d1d571b92d30e9cfab667fbb3d9ca9500b8de47b8d56b92e638154da42157af5",
+    "ring10-horizon-ode": "7e7229d547cde6028177cd4476b41080252d9ef7dc54322bd798d23e37be0ca3",
+    "ring12-trap-ode": "d55860d6938a14c690c1881e61eebfb58e49899bf469425d6d968dce40965189",
+    "ring12-horizon-ode": "1f394d5cdf5bc11416ec35b7098742e0b39653b6f0dac11e856983b268057d6e",
 }
 
 # Noisy runs: the gaussian streams and the per-face noise factor too.  A
@@ -471,13 +475,14 @@ PINNED_ODE = {
 # CHANGES.md.
 PINNED_NOISY = {
     "k3-trap-noisy": "645cf739f88e7752adde9cc70bfb50eb61a2d2419c22f411ea3bd451e65d05db",
-    "k3-horizon-noisy": "89ea09c26b152e7346bdb34f40126b133c3906da48fd6b7be2d59853f32981dc",
-    "ring8-trap-noisy": "6d9854488f45fb6a35acc7625b050028bfdfe885c9ebef328716fe4faf97d8db",
-    "ring8-horizon-noisy": "36a3e4d3c521f6788acae5c23f9b7d78fb6ac11f957531d7b698e9ba679ea9a8",
-    "ring10-trap-noisy": "33b39a50fe5fff805584c2c5428a6ec50221d43ba69a920a579eba10b2fe506f",
-    "ring10-horizon-noisy": "7f6977dab023bfa45d19fc296a5c672401cdae1093a6fbd3a0645daf1e60785c",
-    "ring12-trap-noisy": "69d557e5e19439717b9845da3fad821e4698fdc60a23cc74823b0cab45439dee",
-    "ring12-horizon-noisy": "c05c5705a247705b08dc9be13e26d4077679ea7c452f264e85b043dc3c0326fd",
+    "k3-horizon-noisy": "ab9f22f1b032d92ee96c88ddc3065c0047f032b362e0cabcb9a588b6402331f2",
+    "ring7-trap-noisy": "27b1be3cc103cdca7d829aeef246e9c08c092e2b84d9d176b9f4bbae4cfd0696",
+    "ring8-trap-noisy": "7d64e4deb3a5e30675de638af3df0c636725ec0013d87c62cc1392d16035b40d",
+    "ring8-horizon-noisy": "c67c76d387915141368a1d3342973fc4821f0e06a86a53a679f8bc467f06a21f",
+    "ring10-trap-noisy": "3cd9c092680ce0b1b3dc8af39a41edcf91b3cc08c4164d28670ac1dfb8647e53",
+    "ring10-horizon-noisy": "3f51d4af9ef578faeb1ea21a33ff49b4513c3d24617b9f03c823eeda9a3d4408",
+    "ring12-trap-noisy": "4ef3dcc3ab2e55280e29c9cc0ce7da0dcddc3a42b8aeceb29015b452f7af9810",
+    "ring12-horizon-noisy": "464c62fcf95aff82e3144c4e4e3ebd850da1b6dad3351f7d756dfbccdbc7c46d",
 }
 
 
@@ -492,20 +497,6 @@ def test_engine_outputs_pinned(noise_scale, pinned):
         for name, config, x0, paths in _pinned_cases(noise_scale)
     }
     assert got == pinned
-
-
-@pytest.mark.parametrize("size", range(2, 13))
-def test_site_sum_is_numpys_row_sum(size):
-    # The engine's hyperplane sum runs down the sites of (L, M) columns;
-    # it must round like numpy's sum along each (M, L) row, to the bit.
-    # A numpy that reorders its pairwise sum fails here first.
-    rng = np.random.default_rng(size)
-    scale = rng.choice([1.0, 1e-7, 1e4], size=(400, size))
-    a = rng.standard_normal((400, size)) * scale
-    a[:5] = 0.0
-    a[5:10] = -0.0
-    got = _site_sum(a.T.copy())
-    np.testing.assert_array_equal(got.view(np.uint64), a.sum(axis=1).view(np.uint64))
 
 
 @settings(max_examples=40)
@@ -610,6 +601,67 @@ def test_sample_at_a_step_time_is_that_steps_state(two_site):
         x, t = em_step(faces, masks, np.arange(1), x, t, v, np.full(1, h), None, 0.0)
     assert t[0] == 3 * h
     np.testing.assert_array_equal(ens.samples[0, 0], x[:, 0])
+
+
+@pytest.mark.parametrize("case", ["horizon", "t-max", "rounded-gap"])
+def test_no_record_past_the_end(case):
+    # The last step is cut to end on the run's end: no condensation
+    # time, absorption or trap lies past it, and the clock never passes
+    # it, so a sample one ulp past the end stays empty.
+    params = dict(chain=k3(), b=1.5, seed=1, dt_base=1e-2, cond_delta=0.1)
+    x0, n_paths = np.full(3, 1 / 3), 4000
+    if case == "horizon":
+        end = params["horizon"] = 0.05
+    elif case == "t-max":
+        # Run to the trap: most paths are still on a face at t_max.
+        end = params["t_max"] = 0.05
+    else:
+        # A drift-only path from a symmetric start is glued to the middle
+        # of an edge at t1, where the drift vanishes and dt_base = 1 cuts
+        # the next step to the end.  Beyond 2 t1 the gap end - t1 is
+        # rounded; the end is one where t1 + (end - t1) rounds past it.
+        params.update(dt_base=1.0, noise_scale=0.0)
+        x0, n_paths = [0.49, 0.49, 0.02], 1
+        t1 = simulate_diffusion_ensemble(DiffusionConfig(**params), x0, 1).events[0][0][0]
+        end = next(float(h) for h in np.linspace(2.2, 3.9, 200) * t1 if t1 + (h - t1) > h)
+        params["horizon"] = end
+    config = DiffusionConfig(**params, sample_times=(end, float(np.nextafter(end, np.inf))))
+    ens = simulate_diffusion_ensemble(config, x0, n_paths)
+
+    event_times = [t for events in ens.events for t, _ in events]
+    for times in (ens.t_cond, ens.trapped_time, event_times):
+        assert not np.any(np.asarray(times) > end)
+    assert not np.isnan(ens.samples[:, 0]).any()
+    assert np.isnan(ens.samples[:, 1]).all()
+    if case == "rounded-gap":
+        assert ens.events[0] == [(t1, 0b011)]
+    else:
+        # Some paths cross on the last step, which ends on the end itself.
+        assert np.nanmax(ens.t_cond) == end
+        assert np.isnan(ens.trapped_time).any()
+
+
+def test_equal_chains_share_one_face_table(monkeypatch):
+    # A table costs one trace chain and one Cholesky factor per face; an
+    # ensemble on a chain equal to an earlier one's reuses its table.
+    builds = []
+
+    class Counted(FaceTable):
+        def __init__(self, chain):
+            builds.append(chain)
+            super().__init__(chain)
+
+    monkeypatch.setattr("condensim.diffusion.FaceTable", Counted)
+    rates = random_irreducible_chain(np.random.default_rng(2024), 5).rates
+    for chain in (validate_chain(rates), validate_chain(rates.copy()), k4()):
+        config = DiffusionConfig(chain=chain, b=1.5, seed=1, horizon=0.01)
+        simulate_diffusion_ensemble(config, np.full(chain.size, 1 / chain.size), 2)
+    assert builds == [validate_chain(rates), k4()]
+    # A shared table cannot be edited.
+    faces = FaceTable(k3())
+    for table in (faces.drift_v, faces.noise_f, faces.noise_diag, faces.active):
+        with pytest.raises(ValueError, match="read-only"):
+            table[3] = 0
 
 
 @settings(max_examples=25)

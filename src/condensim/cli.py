@@ -30,7 +30,12 @@ from .chain import (
     trace_rates,
 )
 from .config import RunConfig, __version__, check_seed, config_hash, parse_config
-from .diffusion import DiffusionConfig, DiffusionEnsemble, simulate_diffusion_ensemble
+from .diffusion import (
+    DiffusionConfig,
+    DiffusionEnsemble,
+    simplex_point,
+    simulate_diffusion_ensemble,
+)
 from .errors import (
     BadInitialError,
     CondensimError,
@@ -73,8 +78,7 @@ def _seed(config: RunConfig) -> tuple[int, str]:
 def _diffusion(
     config: RunConfig, chain: ChainSpec, seed: int, sampled: bool
 ) -> DiffusionEnsemble:
-    """Diffusion paths from the configured start (the barycenter by
-    default), on the sample grid only when ``sampled``."""
+    """Diffusion paths from ``_start``, on the sample grid only when ``sampled``."""
     exp = config.experiment
     dc = DiffusionConfig(
         chain=chain,
@@ -87,17 +91,21 @@ def _diffusion(
     )
     if not sampled:
         dc = replace(dc, sample_times=())
-    x0 = np.full(chain.size, 1.0 / chain.size) if exp.x0 is None else exp.x0
+    return simulate_diffusion_ensemble(dc, _start(config, chain), exp.paths)
+
+
+def _start(config: RunConfig, chain: ChainSpec, absorbing: bool = False):
+    """The configured start (the barycenter by default), checked to lie
+    on the simplex of ``chain``, and not on a vertex when ``absorbing``."""
+    x0 = config.experiment.x0
+    x0 = np.full(chain.size, 1.0 / chain.size) if x0 is None else x0
     try:
-        return simulate_diffusion_ensemble(dc, x0, exp.paths)
+        point = simplex_point(x0, chain.size)
     except NonSimplexStartError as exc:
         raise ConfigSchemaError("experiment.x0", str(exc)) from exc
-
-
-def _absorbing_start(config: RunConfig) -> None:
-    """compare and verify read first absorption times; a vertex start has none."""
-    if sum(v > 0 for v in config.experiment.x0 or ()) == 1:
+    if absorbing and np.count_nonzero(point) == 1:
         raise ConfigSchemaError("experiment.x0", "a vertex is never absorbed; only diff-run runs it")
+    return x0
 
 
 def _zrp(
@@ -233,8 +241,8 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
 
 
 def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    _absorbing_start(config)
     chain = config.build_chain()
+    _start(config, chain, absorbing=True)
     dens = _diffusion(config, chain, manifest.seed, sampled=False)
     hist_d = winner_distribution(
         dens.trapped_vertex, chain.size, engine="diffusion", chain_id=chain.fingerprint()
@@ -269,8 +277,8 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
 def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     """Each check is a row (name, detail, value, threshold); it passes
     when value <= threshold, so a NaN value fails."""
-    _absorbing_start(config)
     chain = config.build_chain()
+    _start(config, chain, absorbing=True)
     checks = chain_identity_residuals(chain)
     subset = _sign_subset(config, chain.size)
     if len(subset) >= 2:

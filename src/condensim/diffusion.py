@@ -33,7 +33,6 @@ a later time.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -127,8 +126,7 @@ class FaceTable:
     ``noise_diag`` is the diagonal of 2 a_s^B.  ``active`` marks the
     sites of each face, so a vertex (a mask with one bit) is the argmax
     of its row.  Faces with fewer than two sites stay zero; a trapped
-    path never gathers them.  The arrays are read-only, so ensembles on
-    equal chains share one table.
+    path never gathers them.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -150,14 +148,6 @@ class FaceTable:
             self.drift_v[mask][np.ix_(members, members)] = trace.generator
             self.noise_f[mask, members, : len(members) - 1] = _noise_factor(a_s)
             self.noise_diag[mask, members] = 2.0 * np.diag(a_s)
-        for table in (self.drift_v, self.noise_f, self.noise_diag, self.active):
-            table.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=4)
-def _face_table(chain: ChainSpec) -> FaceTable:
-    """The read-only table of ``chain``, built once for equal chains."""
-    return FaceTable(chain)
 
 
 def _noise_factor(dirichlet: np.ndarray) -> np.ndarray:
@@ -263,19 +253,24 @@ class DiffusionEnsemble:
     events: list  # per path: (time, surviving bitmask) per absorption, faces shrinking
 
 
+def simplex_point(x0, size: int) -> np.ndarray:
+    """``x0`` renormalised, if it lies on the simplex of ``size`` sites."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (size,) or not np.all(x0 >= 0):
+        raise NonSimplexStartError("point must be a nonnegative vector on the simplex")
+    if not abs(x0.sum() - 1.0) <= SUM_TOL:
+        raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
+    return x0 / x0.sum()
+
+
 def simulate_diffusion_ensemble(
     config: DiffusionConfig, x0, n_paths: int
 ) -> DiffusionEnsemble:
     """Integrate ``n_paths`` paths of the absorbed diffusion from x0."""
     chain = config.chain
     size = chain.size
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (size,) or not np.all(x0 >= 0):
-        raise NonSimplexStartError("point must be a nonnegative vector on the simplex")
-    if not abs(x0.sum() - 1.0) <= SUM_TOL:
-        raise NonSimplexStartError(f"coordinates sum to {x0.sum()}, not 1")
-    x0 = x0 / x0.sum()
-    faces = _face_table(chain)
+    x0 = simplex_point(x0, size)
+    faces = FaceTable(chain)
 
     sample_times = np.asarray(config.sample_times, dtype=float)
     n_samp = sample_times.size

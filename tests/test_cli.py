@@ -302,6 +302,18 @@ class TestVerify:
         assert runs == []
         assert main(["diff-run", str(cfg)]) == 0
         assert len(runs) == 1
+        # One positive entry off the simplex is reported as off the
+        # simplex, not as a vertex.
+        for x0, reason in (
+            ("[1.0]", "point must be a nonnegative vector"),
+            ("[2.0, 0.0, 0.0]", "coordinates sum to 2.0"),
+        ):
+            cfg.write_text(doc.replace("delta: 0.05", f"delta: 0.05\n  x0: {x0}"))
+            for sub in ("diff-run", "compare", "verify"):
+                assert main([sub, str(cfg)]) == 2, (x0, sub)
+                err = capsys.readouterr().err
+                assert f"config error: experiment.x0: {reason}" in err, (x0, sub)
+                assert "vertex" not in err, (x0, sub)
 
 
 class TestExitCodes:

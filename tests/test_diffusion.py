@@ -36,7 +36,7 @@ from condensim.errors import (
     ZeroCoordinateError,
 )
 
-from _chains import all_subsets_with_at_least, k3, k4, random_irreducible_chain, ring
+from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -639,29 +639,6 @@ def test_no_record_past_the_end(case):
         # Some paths cross on the last step, which ends on the end itself.
         assert np.nanmax(ens.t_cond) == end
         assert np.isnan(ens.trapped_time).any()
-
-
-def test_equal_chains_share_one_face_table(monkeypatch):
-    # A table costs one trace chain and one Cholesky factor per face; an
-    # ensemble on a chain equal to an earlier one's reuses its table.
-    builds = []
-
-    class Counted(FaceTable):
-        def __init__(self, chain):
-            builds.append(chain)
-            super().__init__(chain)
-
-    monkeypatch.setattr("condensim.diffusion.FaceTable", Counted)
-    rates = random_irreducible_chain(np.random.default_rng(2024), 5).rates
-    for chain in (validate_chain(rates), validate_chain(rates.copy()), k4()):
-        config = DiffusionConfig(chain=chain, b=1.5, seed=1, horizon=0.01)
-        simulate_diffusion_ensemble(config, np.full(chain.size, 1 / chain.size), 2)
-    assert builds == [validate_chain(rates), k4()]
-    # A shared table cannot be edited.
-    faces = FaceTable(k3())
-    for table in (faces.drift_v, faces.noise_f, faces.noise_diag, faces.active):
-        with pytest.raises(ValueError, match="read-only"):
-            table[3] = 0
 
 
 @settings(max_examples=25)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigRangeError
+
 
 def _psi(u: np.ndarray):
     """Mollifier psi(u) = exp(1 - 1/(1-u^2)) on |u| < 1 (0 outside),
@@ -57,7 +59,7 @@ class BumpFunction:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "width", np.asarray(self.width, dtype=float))
         if np.any(self.width <= 0):
-            raise ValueError("bump widths must be positive")
+            raise ConfigRangeError("bump widths must be positive")
 
     @property
     def size(self) -> int:
@@ -103,7 +105,7 @@ def standard_bumps(size: int, collar: float = 2e-4) -> list[BumpFunction]:
     c = 1.0 / size
     wmax = c - collar
     if wmax <= 0:
-        raise ValueError("collar leaves no room for a bump support")
+        raise ConfigRangeError("collar leaves no room for a bump support")
     bary = np.full(size, c)
     off = bary.copy()
     off[0] += 0.4 * wmax

@@ -20,8 +20,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadExponentsError,
@@ -97,6 +95,17 @@ class ChainSpec:
         return hash((self.rates.tobytes(), self.m.tobytes()))
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether every site is reachable from site 0 along ``edges[j, k]``."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def validate_chain(
     rates: Sequence | np.ndarray,
     m: Sequence | np.ndarray | None = None,
@@ -131,8 +140,9 @@ def validate_chain(
         raise ChainValidationError("rates must be nonnegative")
     if np.any(np.diag(r) != 0):
         raise ChainValidationError("rate matrix must have zero diagonal")
-    n_classes, _ = connected_components(csr_matrix(r > 0), directed=True, connection="strong")
-    if n_classes != 1:
+    # Irreducible iff site 0 reaches every site and every site reaches 0.
+    edges = r > 0
+    if not (_reaches_all(edges) and _reaches_all(edges.T)):
         raise ReducibleChainError("rate matrix is reducible")
     gen = r - np.diag(r.sum(axis=1))
     if mv is None:

@@ -124,9 +124,10 @@ class FaceTable:
     face, the rows off the face are zero and every column sums to zero,
     so the noise F xi stays on the face and on the hyperplane.
     ``noise_diag`` is the diagonal of 2 a_s^B.  ``active`` marks the
-    sites of each face, so a vertex (a mask with one bit) is the argmax
-    of its row.  Faces with fewer than two sites stay zero; a trapped
-    path never gathers them.
+    sites of each face, site-major as (L, 2^L) so the engine gathers
+    whole columns from contiguous rows; a vertex (a mask with one bit)
+    is the argmax of its column.  Faces with fewer than two sites stay
+    zero; a trapped path never gathers them.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -137,10 +138,10 @@ class FaceTable:
         self.drift_v = np.zeros((n_masks, size, size))
         self.noise_f = np.zeros((n_masks, size, size))
         self.noise_diag = np.zeros((n_masks, size))
-        self.active = np.zeros((n_masks, size), dtype=bool)
+        self.active = np.zeros((size, n_masks), dtype=bool)
         for mask in range(1, n_masks):
             members = [j for j in range(size) if mask >> j & 1]
-            self.active[mask, members] = True
+            self.active[members, mask] = True
             if len(members) < 2:
                 continue
             trace = trace_rates(chain, members)
@@ -177,7 +178,7 @@ def drift(
     column because every v^B_j does.  Raises ZeroCoordinateError when
     an active coordinate is not strictly positive (a missed absorption).
     """
-    active = faces.active.T.take(masks, axis=1)  # (L, M)
+    active = faces.active.take(masks, axis=1)  # (L, M)
     x_on = np.where(active, x, 1.0)
     if not np.all(x_on > 0):
         raise ZeroCoordinateError("zero coordinate inside an active set")
@@ -319,7 +320,7 @@ def simulate_diffusion_ensemble(
             cols, slots = due_samples(grid, next_samp, bound)
             samples[ids[cols], slots] = x[:, cols].T
             sample_masks[ids[cols], slots] = masks[cols]
-        trapped_vertex[ids[trapped]] = faces.active[masks[trapped]].argmax(axis=1)
+        trapped_vertex[ids[trapped]] = faces.active[:, masks[trapped]].argmax(axis=0)
         trapped_time[ids[trapped]] = t[trapped]
         retire = trapped | (t >= end_time)
         if retire.any():

@@ -1,4 +1,10 @@
-"""Shared test chains and generators of randomized irreducible chains."""
+"""Shared test chains, generators of randomized irreducible chains, and
+a runner for scripts in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -101,3 +107,15 @@ def all_subsets_with_at_least(size: int, k: int):
         if len(subset) >= k:
             out.append(subset)
     return out
+
+
+def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, timeout=timeout,
+        capture_output=True, text=True,
+    )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condensim.bumps import BumpFunction, standard_bumps
+from condensim.errors import ConfigRangeError
 
 
 @pytest.fixture
@@ -78,3 +79,14 @@ def test_standard_bumps_clear_of_collar():
         assert np.all(lo >= collar - 1e-15)
         hi = b.center + b.width
         assert np.all(hi < 1.0)
+
+
+@pytest.mark.parametrize("width", [[0.3, 0.0, 0.3], [0.3, -0.1, 0.3]])
+def test_nonpositive_width_is_typed(width):
+    with pytest.raises(ConfigRangeError, match="widths must be positive"):
+        BumpFunction(center=[1 / 3, 1 / 3, 1 / 3], width=width)
+
+
+def test_collar_without_room_is_typed():
+    with pytest.raises(ConfigRangeError, match="no room"):
+        standard_bumps(4, collar=0.25)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from condensim.chain import (
     dirichlet_matrix,
@@ -97,6 +99,39 @@ class TestValidateChain:
         r[0, 1] = 3.0
         assert chain.rates is not r
         assert chain.rates[0, 1] == 1.0
+
+    @staticmethod
+    def check_verdict(rates, irreducible):
+        if irreducible:
+            validate_chain(rates)
+        else:
+            with pytest.raises(ReducibleChainError):
+                validate_chain(rates)
+
+    @pytest.mark.parametrize(
+        "size, edges, irreducible",
+        [
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0)], True),  # one-way ring
+            (3, [(0, 1), (1, 0), (1, 2), (0, 2)], False),  # site 2 is a sink
+            (3, [(1, 0), (2, 0), (1, 2)], False),  # site 0 is a sink, 1 a source
+            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], False),  # two closed classes
+        ],
+    )
+    def test_irreducibility_examples(self, size, edges, irreducible):
+        rates = np.zeros((size, size))
+        for j, k in edges:
+            rates[j, k] = 1.0
+        self.check_verdict(rates, irreducible)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 8), density=st.floats(0.1, 0.7))
+    def test_irreducibility_matches_scipy(self, seed, size, density):
+        # Oracle: one strongly connected component in scipy's csgraph.
+        rng = np.random.default_rng(seed)
+        edges = rng.random((size, size)) < density
+        np.fill_diagonal(edges, False)
+        n_classes = connected_components(csr_matrix(edges), directed=True, connection="strong")[0]
+        self.check_verdict(np.where(edges, rng.uniform(0.1, 3.0, (size, size)), 0.0), n_classes == 1)
 
 
 class TestInvariantMeasure:

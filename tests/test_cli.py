@@ -3,12 +3,15 @@
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
 from condensim.cli import main
+
+from _chains import run_python
 
 K3_DOC = """
 chain:
@@ -414,3 +417,25 @@ def test_out_flag_overrides_directory(tmp_path):
     alt = tmp_path / "elsewhere"
     assert main(["chain-info", str(cfg), "--out", str(alt)]) == 0
     assert (alt / "chain_info.csv").exists()
+
+
+def test_cold_start_loads_no_heavy_scipy(tmp_path):
+    # Every subcommand runs in its own process and pays the import of
+    # condensim; scipy.stats, scipy.sparse and scipy.special would make
+    # that several times slower, so none of them is on its import path.
+    config = Path(__file__).resolve().parents[1] / "configs" / "asym3.yaml"
+    script = (
+        "import sys\n"
+        "def heavy():\n"
+        "    names = ('scipy.stats', 'scipy.sparse', 'scipy.special')\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "import condensim\n"
+        "from condensim.cli import main\n"
+        "print('import', heavy())\n"
+        f"code = main(['chain-info', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print('chain-info', code, heavy())\n"
+    )
+    done = run_python(script, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()  # chain-info prints its table in between
+    assert (lines[0], lines[-1]) == ("import []", "chain-info 0 []")

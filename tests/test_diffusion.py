@@ -1,8 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +32,9 @@ from condensim.errors import (
     ZeroCoordinateError,
 )
 
-from _chains import all_subsets_with_at_least, k3, random_irreducible_chain, ring
+from _chains import (
+    all_subsets_with_at_least, k3, random_irreducible_chain, ring, run_python,
+)
 
 # Deterministic blow-down time of the two-site drift ODE
 #   dx/dt = c (2x - 1) / (x (1 - x)),  c = b * M,
@@ -48,18 +46,6 @@ TWO_SITE_BLOWDOWN = (np.log(2.0) - 0.375) / (8 * 0.75)
 @pytest.fixture
 def two_site():
     return validate_chain([[0.0, 1.0], [1.0, 0.0]])
-
-
-def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter on this checkout's ``src``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    ))
-    return subprocess.run(
-        [sys.executable, "-c", script], env=env, timeout=timeout,
-        capture_output=True, text=True,
-    )
 
 
 def face_masks(x: np.ndarray) -> np.ndarray:
@@ -536,7 +522,7 @@ def test_face_table_of_trace_is_restriction(seed, size):
         ix = np.ix_(b, b)
         for sub_mask in range(1, 1 << len(b)):
             mask = sum(1 << j for i, j in enumerate(b) if sub_mask >> i & 1)
-            assert np.array_equal(sub.active[sub_mask], faces.active[mask][list(b)])
+            assert np.array_equal(sub.active[:, sub_mask], faces.active[list(b), mask])
             np.testing.assert_allclose(
                 sub.drift_v[sub_mask], faces.drift_v[mask][ix], rtol=0, atol=tol
             )

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from condensim.bumps import BumpFunction, standard_bumps
 from condensim.chain import dirichlet_matrix, validate_chain
@@ -14,6 +17,7 @@ from condensim.errors import (
     MismatchedChainsError,
 )
 from condensim.experiments import (
+    WinnerHistogram,
     _lattice_points,
     _mean_stderr,
     compare_winner,
@@ -82,6 +86,24 @@ class TestCompareWinner:
         with pytest.raises(MismatchedChainsError):
             compare_winner(h1, h2)
 
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 8),
+        scale=st.sampled_from([3, 30, 3000]),
+    )
+    def test_pvalue_matches_scipy(self, seed, size, scale):
+        # Empty cells drop out of the dof, and dof = 0 has p-value 1.
+        rng = np.random.default_rng(seed)
+        c1, c2 = rng.integers(0, scale, size), rng.integers(0, scale, size)
+        c1[0] += 1  # each histogram holds at least one path
+        c2[-1] += 1
+        cmp = compare_winner(
+            WinnerHistogram(c1, int(c1.sum()), "zrp"), WinnerHistogram(c2, int(c2.sum()), "diff")
+        )
+        want = stats.chi2.sf(cmp.chi2, cmp.dof) if cmp.dof > 0 else 1.0
+        assert cmp.pvalue == want
+
 
 class TestKs:
     def test_identical_samples(self):
@@ -91,6 +113,32 @@ class TestKs:
     def test_shifted_samples(self):
         a = np.linspace(0, 1, 1000)
         assert ks_distance(a, a + 10.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("a, b", [([], [0.5]), ([0.5], []), ([], [])])
+    def test_empty_sample_rejected(self, a, b):
+        with pytest.raises(IncompletePathError):
+            ks_distance(a, b)
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 300),
+        n_b=st.integers(1, 300),
+        levels=st.sampled_from([2, 10, 100, 2**40]),
+        same=st.booleans(),
+    )
+    def test_matches_scipy(self, seed, n_a, n_b, levels, same):
+        # Few levels give ties within and across the samples.
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, levels, n_a) / levels
+        b = a if same else rng.integers(0, levels, n_b) / levels + rng.choice([0.0, 0.05])
+        assert ks_distance(a, b) == stats.ks_2samp(a, b).statistic
+
+    @pytest.mark.parametrize("n_a, n_b", [(10_000, 10_000), (10_000, 9_973), (1, 10_000), (2000, 1500)])
+    def test_matches_scipy_large(self, n_a, n_b):
+        rng = np.random.default_rng(n_a + n_b)
+        a, b = rng.exponential(1.0, n_a), rng.exponential(1.02, n_b)
+        assert ks_distance(a, b) == stats.ks_2samp(a, b).statistic
 
 
 class TestR06:

@@ -47,7 +47,7 @@ from .errors import (
     StepStallError,
     ZeroCoordinateError,
 )
-from .rng import PathStreams, check_window, derive_seed, due_samples
+from .rng import LiveSet, PathStreams, check_window, derive_seed
 
 # Hyperplane drift tolerance: increments sum to zero analytically, so
 # any larger deviation signals a step-size blowup.
@@ -271,13 +271,10 @@ def simulate_diffusion_ensemble(
     chain = config.chain
     size = chain.size
     x0 = simplex_point(x0, size)
+    live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times)
     faces = FaceTable(chain)
 
-    sample_times = np.asarray(config.sample_times, dtype=float)
-    n_samp = sample_times.size
-    grid = np.append(sample_times, np.inf)
-    end_time = config.t_max if config.horizon is None else config.horizon
-    end_bound = np.nextafter(end_time, np.inf)  # the end is inclusive
+    n_samp = len(config.sample_times)
     cond_level = None if config.cond_delta is None else 1.0 - config.cond_delta
 
     sigma1 = np.full(n_paths, np.nan)
@@ -288,11 +285,8 @@ def simulate_diffusion_ensemble(
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
     sample_masks = np.zeros((n_paths, n_samp), dtype=np.int64) if n_samp else None
 
-    ids = np.arange(n_paths)
     x = np.repeat(x0[:, None], n_paths, axis=1)  # (L, M): one column per live path
-    t = np.zeros(n_paths)
     masks = np.full(n_paths, mask_of(np.nonzero(x0 > 0)[0]), dtype=np.int64)
-    next_samp = np.zeros(n_paths, dtype=np.int64)
 
     streams = PathStreams(
         derive_seed(config.seed, "diffusion"),
@@ -311,23 +305,19 @@ def simulate_diffusion_ensemble(
         # (the start for t = 0 alone), never past the end; a trapped
         # vertex stands for the rest of the run.
         if cond_level is not None:
-            crossed = (np.maximum.reduce(x, axis=0) >= cond_level) & np.isnan(t_cond[ids])
-            t_cond[ids[crossed]] = t[crossed]
+            crossed = (np.maximum.reduce(x, axis=0) >= cond_level) & np.isnan(t_cond[live.ids])
+            t_cond[live.ids[crossed]] = live.t[crossed]
         trapped = (masks & (masks - 1)) == 0
         if n_samp:
-            bound = np.nextafter(t, np.inf)
-            bound[trapped] = end_bound
-            cols, slots = due_samples(grid, next_samp, bound)
-            samples[ids[cols], slots] = x[:, cols].T
-            sample_masks[ids[cols], slots] = masks[cols]
-        trapped_vertex[ids[trapped]] = faces.active[:, masks[trapped]].argmax(axis=0)
-        trapped_time[ids[trapped]] = t[trapped]
-        retire = trapped | (t >= end_time)
-        if retire.any():
-            keep = ~retire
-            ids, t, masks, next_samp = (a[keep] for a in (ids, t, masks, next_samp))
-            x = x.compress(keep, axis=1)
-        if not ids.size:
+            bound = np.nextafter(live.t, np.inf)
+            bound[trapped] = live.end_bound
+            cols, slots = live.due_samples(bound)
+            samples[live.ids[cols], slots] = x[:, cols].T
+            sample_masks[live.ids[cols], slots] = masks[cols]
+        trapped_vertex[live.ids[trapped]] = faces.active[:, masks[trapped]].argmax(axis=0)
+        trapped_time[live.ids[trapped]] = live.t[trapped]
+        x, masks = live.retire(~trapped, x, masks)
+        if not live.ids.size:
             break
 
         active, drift_vec = drift(faces, masks, x, chain.m, config.b)
@@ -346,15 +336,13 @@ def simulate_diffusion_ensemble(
                 cap_n = np.minimum.reduce(move**2 / noise_var.take(masks, axis=1), axis=0)
             dt = np.minimum(dt, np.minimum(cap_d, cap_n))
         # The last step ends on the end of the run.
-        dt = np.minimum(dt, end_time - t)
+        dt = np.minimum(dt, live.end - live.t)
 
-        xi = None
-        if config.noise_scale > 0:
-            xi = streams.take(ids)
-        x, t = em_step(faces, masks, ids, x, t, drift_vec, dt, xi, config.noise_scale)
+        xi = live.draw(streams) if config.noise_scale > 0 else None
+        x, t = em_step(faces, masks, live.ids, x, live.t, drift_vec, dt, xi, config.noise_scale)
         # Below end/2 the gap end - t is rounded, so t + dt can land an
         # ulp past the end (clamped here) or short of it (one more step).
-        np.minimum(t, end_time, out=t)
+        live.t = np.minimum(t, live.end, out=t)
 
         # Absorption: coordinates at or below the threshold (including
         # negatives) are glued to zero; simultaneous hits allowed.  As
@@ -366,14 +354,14 @@ def simulate_diffusion_ensemble(
             x_hit = np.where(keep, x[:, cols], 0.0)
             x[:, cols] = x_hit / x_hit.sum(axis=0)
             masks[cols] = (1 << np.arange(size)) @ keep
-            pids = ids[cols]
+            pids = live.ids[cols]
             first = np.isnan(sigma1[pids])
             sigma1[pids[first]] = t[cols[first]]
             for pid, t_hit, mask in zip(pids.tolist(), t[cols].tolist(), masks[cols].tolist()):
                 events[pid].append((t_hit, mask))
 
     return DiffusionEnsemble(
-        config, x0, n_paths, sample_times, samples, sample_masks,
+        config, x0, n_paths, np.asarray(config.sample_times), samples, sample_masks,
         sigma1, trapped_vertex, trapped_time, t_cond, events,
     )
 

@@ -20,10 +20,11 @@ Lockstep contract: every path passed to ``PathStreams.take`` has taken
 exactly as many steps as every other path passed to it; paths only
 ever leave the live set, never skip a step or join late.  One shared
 step counter therefore locates every listed path in its buffer.
+``LiveSet``, the live set of both engines, holds that contract.
 
 Both engines observe their paths on one grid of sample times inside the
 run window [0, horizon or t_max]: ``check_window`` validates both, and
-``due_samples`` hands out the slots each path reaches per iteration.
+the live set hands out the sample slots each path reaches.
 """
 
 from __future__ import annotations
@@ -147,25 +148,59 @@ def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[flo
     return tuple(st.tolist())
 
 
-def due_samples(
-    grid: np.ndarray, next_samp: np.ndarray, bound: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, slots) of every sample slot the rows reach this iteration.
+class LiveSet:
+    """The live paths of one lockstep ensemble, one per column.
 
-    ``grid`` is the sample grid with ``+inf`` appended, ``next_samp[row]``
-    the first slot the row has not filled.  The pairs, row by row, have
-    ``slot >= next_samp[row]`` and ``grid[slot] < bound[row]``;
-    ``next_samp`` moves past them.  Only the rows with a slot due are
-    searched.
+    ``ids`` are their original indices, ``t`` their clocks and ``cursor``
+    the first slot of the sample grid (``+inf`` appended) each has not
+    filled.  The run ends at ``end``, inclusive: a time below ``end_bound``
+    is in it.  Times are in engine clock units, ``scale`` per unit of the
+    run window.  Raises ConfigRangeError on a negative path count.
     """
-    rows = np.flatnonzero(grid[next_samp] < bound)
-    if not rows.size:
-        return rows, rows
-    first = next_samp[rows]
-    stop = np.searchsorted(grid, bound[rows])
-    next_samp[rows] = stop
-    count = stop - first
-    # Slot first[i] + k for k < count[i], flattened row by row.
-    start = np.cumsum(count) - count
-    slots = np.arange(start[-1] + count[-1]) + np.repeat(first - start, count)
-    return np.repeat(rows, count), slots
+
+    def __init__(self, n_paths: int, horizon, t_max: float, sample_times, scale: float = 1.0):
+        if n_paths < 0:
+            raise ConfigRangeError(f"n_paths = {n_paths} must be >= 0")
+        self.ids = np.arange(n_paths)
+        self.t = np.zeros(n_paths)
+        self.cursor = np.zeros(n_paths, dtype=np.int64)
+        self.end = (t_max if horizon is None else horizon) * scale
+        self.end_bound = np.nextafter(self.end, np.inf)
+        self.grid = np.append(np.asarray(sample_times, dtype=float) * scale, np.inf)
+        self.iterations = 0
+
+    def draw(self, streams: PathStreams) -> np.ndarray:
+        """The next draws of every live path, once per iteration; ``iterations`` counts them."""
+        self.iterations += 1
+        return streams.take(self.ids)
+
+    def due_samples(self, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, slots) of every sample slot the rows reach this iteration.
+
+        The pairs, row by row, have ``slot >= cursor[row]`` and
+        ``grid[slot] < bound[row]``; ``cursor`` moves past them.  Only
+        the rows with a slot due are searched.
+        """
+        rows = np.flatnonzero(self.grid[self.cursor] < bound)
+        if not rows.size:
+            return rows, rows
+        first = self.cursor[rows]
+        stop = np.searchsorted(self.grid, bound[rows])
+        self.cursor[rows] = stop
+        count = stop - first
+        # Slot first[i] + k for k < count[i], flattened row by row.
+        start = np.cumsum(count) - count
+        slots = np.arange(start[-1] + count[-1]) + np.repeat(first - start, count)
+        return np.repeat(rows, count), slots
+
+    def retire(self, keep: np.ndarray | None, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Keep the paths in ``keep`` (None: all) whose clock is before the
+        end, here and along the last axis of ``columns``; return those.  A
+        NaN clock is not before the end, so it cannot run forever."""
+        if not self.t.max(initial=-np.inf) < self.end:
+            running = self.t < self.end
+            keep = running if keep is None else keep & running
+        if keep is None or keep.all():
+            return columns
+        self.ids, self.t, self.cursor = self.ids[keep], self.t[keep], self.cursor[keep]
+        return tuple(c.compress(keep, axis=-1) for c in columns)

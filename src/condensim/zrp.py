@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import BadInitialError, ConfigRangeError, NotLatticeError
-from .rng import PathStreams, check_window, derive_seed, due_samples
+from .rng import LiveSet, PathStreams, check_window, derive_seed
 
 G_FAMILIES = ("default", "corrected")
 
@@ -60,7 +60,8 @@ class ZrpConfig:
     """Parameters of one zero-range simulation.
 
     ``horizon`` (macroscopic) switches to fixed-horizon runs; otherwise
-    paths stop at the condensation record, capped at ``t_max``.  All
+    paths stop at the condensation record, capped at ``t_max``, and a
+    stopped path is sampled up to and including ``t_cond``.  All
     clocks, thresholds and outputs are macroscopic.
     """
 
@@ -174,20 +175,18 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
         raise BadInitialError(
             f"initial configuration must hold exactly {n} particles on {size} sites"
         )
+    scale = float(n) * n  # micro time per macro unit
+    live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times, scale)
 
     table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
     src, dst = np.nonzero(chain.rates)
     r_edge = chain.rates[src, dst]
     cond_level = (1.0 - config.delta) * n
-    scale = float(n) * n  # micro time per macro unit
     n_samp = len(config.sample_times)
-    grid = np.append(np.asarray(config.sample_times) * scale, np.inf)
-    end_micro = (config.horizon if config.horizon is not None else config.t_max) * scale
-    end_bound = np.nextafter(end_micro, np.inf)  # the end is inclusive
-    stop_on_condensation = config.horizon is None
 
     t_cond = np.full(n_paths, np.nan)
     winner = np.full(n_paths, -1, dtype=np.int64)
+    first_event = np.full(n_paths, np.nan)
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
 
     # Rate of edge e at source occupancy k is edge_rate[e * (n + 1) + k].
@@ -202,41 +201,46 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     count_dtype = np.uint8 if n_edges <= 255 else np.intp
 
     # Live paths are columns: eta[j, c] is the occupancy of site j on the
-    # path with original index ids[c].
-    ids = np.arange(n_paths)
+    # path with original index live.ids[c].
     eta = np.repeat(eta0[:, None], n_paths, axis=1)
-    t = np.zeros(n_paths)
-    next_samp = np.zeros(n_paths, dtype=np.int64)
-    first_event = np.full(n_paths, np.nan)
     # Full-width work buffers, viewed at the live width.
-    all_cols = np.arange(n_paths)
     at_buf = np.empty(n_edges * n_paths, dtype=np.int64)
     off_buf = np.empty(n_edges * n_paths, dtype=np.int64)
     rate_buf = np.empty(n_edges * n_paths)
     less_buf = np.empty(n_edges * n_paths, dtype=np.bool_)
 
-    if eta0.max() >= cond_level:
-        t_cond[:] = 0.0
-        winner[:] = int(eta0.argmax())
-        if stop_on_condensation:
-            # Stopped at time zero; only a t=0 sample can be emitted.
-            if n_samp and config.sample_times[0] == 0.0:
-                samples[:, 0, :] = eta0 / n
-            return ZrpEnsemble(
-                config, eta0, n_paths,
-                np.asarray(config.sample_times), samples, t_cond, winner, first_event,
-            )
-
     streams = PathStreams(
         derive_seed(config.seed, "zrp"), n_paths, values_per_step=2, block=256
     )
-    first_pass = True
     width = -1
-    while ids.size:
-        if ids.size != width:
+    while True:
+        # Observe the state at t, the start included.  The record is the
+        # first time a site holds >= (1-delta) N, set only by a path still
+        # in the run; its winner is the fullest site.  Without a horizon a
+        # path stops at its record, which is its last sample.
+        keep = None
+        if eta.size and eta.max() >= cond_level:
+            rows = np.flatnonzero(eta.max(axis=0) >= cond_level)
+            rows = rows[np.isnan(t_cond[live.ids[rows]])]
+            if rows.size:
+                rows = rows[live.t[rows] < live.end]
+                pids = live.ids[rows]
+                t_cond[pids] = live.t[rows] / scale
+                winner[pids] = eta[:, rows].argmax(axis=0)
+                if config.horizon is None:
+                    keep = np.ones(live.ids.size, dtype=bool)
+                    keep[rows] = False
+                    if n_samp:
+                        bound = np.where(keep, -np.inf, np.nextafter(live.t, np.inf))
+                        due, slots = live.due_samples(bound)
+                        samples[live.ids[due], slots] = eta[:, due].T / n
+        (eta,) = live.retire(keep, eta)
+        if not live.ids.size:
+            break
+
+        if live.ids.size != width:
             # Work arrays at the new width.
-            width = ids.size
-            col = all_cols[:width]
+            width = live.ids.size
             cells = n_edges * width
             at = at_buf[:cells].reshape(n_edges, width)
             off = off_buf[:cells].reshape(n_edges, width)
@@ -256,52 +260,24 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
         else:
             for row, prev in scan:
                 np.add(row, prev, out=row)
-        u0, u1 = streams.take(ids).T
-        t_new = t - np.log1p(-u0) / total
-        if first_pass:
-            # All paths are present on the first pass; their first
-            # waiting time is the holding time of the initial state.
-            first_event[:] = t_new / scale
-            first_pass = False
-
-        # NaN-safe: a NaN clock retires its path instead of running
-        # forever (a NaN maximum fails the test, and then so does its row).
-        all_live = t_new.max() < end_micro
-        live = None if all_live else t_new < end_micro
+        u0, u1 = live.draw(streams).T
+        t_new = live.t - np.log1p(-u0) / total
+        if live.iterations == 1:
+            # The first waiting time is the holding time of the start.
+            first_event[live.ids] = t_new / scale
         if n_samp:
-            # The pre-jump state is the path value on [t, t_new); a
-            # retiring path holds it up to the end.
-            bound = t_new if all_live else np.where(live, t_new, end_bound)
-            rows, slots = due_samples(grid, next_samp, bound)
-            samples[ids[rows], slots] = eta[:, rows].T / n
+            # The pre-jump state is the path value on [t, t_new); a path
+            # whose next event passes the end holds it up to the end.
+            end = live.end
+            bound = t_new if t_new.max() < end else np.where(t_new < end, t_new, live.end_bound)
+            rows, slots = live.due_samples(bound)
+            samples[live.ids[rows], slots] = eta[:, rows].T / n
 
-        # Jump on every column; retiring columns are dropped below unread.
+        # Jump on every column; a path past the end retires unread.
         np.less(rates, u1 * total, out=less)
         edge = less_count.sum(axis=0, dtype=count_dtype)
         eta += jump.take(edge, axis=1)
-        t = t_new
-
-        # Condensation record: first time a site holds >= (1-delta) N.
-        # Before the jump no site of a path without a record is that
-        # full, so only the receiving site can reach the level, and
-        # while no site at all is there, no path has a new record.
-        if eta.max() >= cond_level:
-            to = dst.take(edge)
-            hit = eta[to, col] >= cond_level
-            if live is not None:
-                hit &= live
-            rows = np.flatnonzero(hit)
-            if stop_on_condensation:
-                live = ~hit if live is None else live & ~hit
-            else:
-                rows = rows[np.isnan(t_cond[ids[rows]])]
-            t_cond[ids[rows]] = t_new[rows] / scale
-            winner[ids[rows]] = to[rows]
-        if live is not None:
-            ids = ids[live]
-            eta = eta.compress(live, axis=1)
-            t = t[live]
-            next_samp = next_samp[live]
+        live.t = t_new
 
     return ZrpEnsemble(
         config, eta0, n_paths, np.asarray(config.sample_times),

@@ -1,11 +1,19 @@
-"""The per-path stream contract of ``condensim.rng.PathStreams``."""
+"""The per-path stream contract of ``condensim.rng.PathStreams`` and the
+live-set bookkeeping of ``condensim.rng.LiveSet``."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from condensim.rng import PathStreams, path_generator
+from condensim.diffusion import DiffusionConfig, simulate_diffusion_ensemble
+from condensim.errors import ConfigRangeError
+from condensim.rng import LiveSet, PathStreams, path_generator
+from condensim.zrp import ZrpConfig, simulate_zrp_ensemble
+
+from _chains import k3
 
 
 def _schedule(block: int) -> dict[int, int]:
@@ -58,3 +66,67 @@ def test_refill_memory_is_bounded(gaussian, k, block):
         tracemalloc.stop()
     assert peak - current <= 2**20
     assert current - buffer <= 2**20 + n * 1024
+
+
+@given(st.data())
+def test_live_set_hands_out_each_slot_once_in_order(data):
+    times = sorted(set(data.draw(st.lists(st.floats(0.0, 10.0), max_size=6))))
+    n_paths = data.draw(st.integers(0, 6))
+    end = data.draw(st.floats(0.5, 8.0))
+    live = LiveSet(n_paths, None, end, times, scale=2.0)
+    grid = live.grid[:-1]
+    assert np.array_equal(grid, np.multiply(times, 2.0))
+    live.t = live.ids + 0.5  # a clock tied to each path
+    handed = {p: [] for p in range(n_paths)}
+    bounds = st.floats(-1.0, 25.0) | st.just(np.inf)
+    if times:
+        bounds |= st.sampled_from(grid.tolist())
+    for _ in range(data.draw(st.integers(1, 5))):
+        width = live.ids.size
+        bound = np.array(data.draw(st.lists(bounds, min_size=width, max_size=width)), dtype=float)
+        rows, slots = live.due_samples(bound)
+        for row, slot in zip(rows.tolist(), slots.tolist()):
+            assert grid[slot] < bound[row]
+            handed[live.ids[row]].append(slot)
+        for row, p in enumerate(live.ids.tolist()):
+            # The path's slots so far are 0, 1, ..., once each, in order,
+            # and every slot below its bound is among them.
+            assert handed[p] == list(range(live.cursor[row]))
+            assert np.count_nonzero(grid < bound[row]) <= live.cursor[row]
+
+        masks = st.lists(st.booleans(), min_size=width, max_size=width).map(np.array)
+        keep = data.draw(st.none() | masks)
+        before = live.ids
+        (column,) = live.retire(keep, 10 * live.ids)
+        # Kept paths whose clock is before the end stay, in order, and
+        # every array stays aligned with the ids.
+        wanted = [p for i, p in enumerate(before.tolist())
+                  if (keep is None or keep[i]) and p + 0.5 < live.end]
+        assert live.ids.tolist() == wanted
+        assert np.array_equal(column, 10 * live.ids)
+        assert np.array_equal(live.t, live.ids + 0.5)
+        assert [len(handed[p]) for p in wanted] == live.cursor.tolist()
+
+
+def _zrp_run(n_paths):
+    config = ZrpConfig(chain=k3(), n_particles=12, b=1.5, seed=1, sample_times=(0.0, 0.01))
+    return simulate_zrp_ensemble(config, [4, 4, 4], n_paths)
+
+
+def _diffusion_run(n_paths):
+    config = DiffusionConfig(chain=k3(), b=1.5, seed=1, sample_times=(0.0, 0.01))
+    return simulate_diffusion_ensemble(config, np.full(3, 1 / 3), n_paths)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+@pytest.mark.parametrize("run", [_zrp_run, _diffusion_run], ids=["zrp", "diffusion"])
+def test_path_count(run, n_paths):
+    # No paths is an empty ensemble; a negative count is a typed error.
+    if n_paths < 0:
+        with pytest.raises(ConfigRangeError, match="n_paths"):
+            run(n_paths)
+    else:
+        ens = run(n_paths)
+        assert ens.n_paths == 0
+        assert ens.t_cond.shape == (0,)
+        assert ens.samples.shape == (0, 2, 3)

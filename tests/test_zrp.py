@@ -139,12 +139,19 @@ class TestSimulate:
             simulate_zrp_ensemble(config, [3, 3, 3], 1)
 
     def test_already_condensed_at_start(self, generator_calls):
-        config = ZrpConfig(chain=k3(), n_particles=30, b=1.5, seed=1, delta=0.05)
-        ens = simulate_zrp_ensemble(config, [30, 0, 0], 1)
-        assert ens.t_cond[0] == 0.0
-        assert ens.winner[0] == 0
-        # Stopped at time zero before any jump, with no random generator.
-        np.testing.assert_array_equal(ens.first_event, [np.nan])
+        for sample_times in ((), (0.0, 0.01)):
+            config = ZrpConfig(
+                chain=k3(), n_particles=30, b=1.5, seed=1, delta=0.05,
+                sample_times=sample_times,
+            )
+            ens = simulate_zrp_ensemble(config, [30, 0, 0], 1)
+            assert ens.t_cond[0] == 0.0
+            assert ens.winner[0] == 0
+            # Stopped at time zero before any jump: the start is its only
+            # sample, and it builds no random generator.
+            np.testing.assert_array_equal(ens.first_event, [np.nan])
+            if sample_times:
+                np.testing.assert_array_equal(ens.samples[0], [[1.0, 0.0, 0.0], [np.nan] * 3])
         assert generator_calls == []
 
     def test_conservation_along_path(self):

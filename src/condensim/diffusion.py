@@ -288,13 +288,16 @@ def simulate_diffusion_ensemble(
     x = np.repeat(x0[:, None], n_paths, axis=1)  # (L, M): one column per live path
     masks = np.full(n_paths, mask_of(np.nonzero(x0 > 0)[0]), dtype=np.int64)
 
-    streams = PathStreams(
-        derive_seed(config.seed, "diffusion"),
-        n_paths,
-        values_per_step=size,
-        block=64,
-        gaussian=True,
-    )
+    # A drift-only run draws nothing.
+    streams = None
+    if config.noise_scale > 0:
+        streams = PathStreams(
+            derive_seed(config.seed, "diffusion"),
+            n_paths,
+            values_per_step=size,
+            block=64,
+            gaussian=True,
+        )
     eta = MAX_RELATIVE_MOVE
     eps_guard = config.eps_guard
     # Per-face noise variance per unit time, one column per face.
@@ -338,7 +341,7 @@ def simulate_diffusion_ensemble(
         # The last step ends on the end of the run.
         dt = np.minimum(dt, live.end - live.t)
 
-        xi = live.draw(streams) if config.noise_scale > 0 else None
+        xi = None if streams is None else live.draw(streams)
         x, t = em_step(faces, masks, live.ids, x, live.t, drift_vec, dt, xi, config.noise_scale)
         # Below end/2 the gap end - t is rounded, so t + dt can land an
         # ulp past the end (clamped here) or short of it (one more step).

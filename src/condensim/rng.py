@@ -20,7 +20,9 @@ Lockstep contract: every path passed to ``PathStreams.take`` has taken
 exactly as many steps as every other path passed to it; paths only
 ever leave the live set, never skip a step or join late.  One shared
 step counter therefore locates every listed path in its buffer.
-``LiveSet``, the live set of both engines, holds that contract.
+``LiveSet``, the live set of both engines, holds that contract.  A path
+leaves the lockstep for good when ``PathStreams.hand_out`` gives it the
+rest of its stream, to be drawn one step at a time outside.
 
 Both engines observe their paths on one grid of sample times inside the
 run window [0, horizon or t_max]: ``check_window`` validates both, and
@@ -30,7 +32,9 @@ the live set hands out the sample slots each path reaches.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import mmap
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -105,18 +109,24 @@ class PathStreams:
         self._scratch_rec = self._scratch.view(record)[..., 0]
         self._step = 0
 
+    def _draw(self, paths: list[int], out: np.ndarray) -> None:
+        """Fill ``out[i]``, one ``(block, k)`` array, with the next block of
+        the stream of ``paths[i]``, building each generator at its path's
+        first block."""
+        for row, p in zip(out, paths):
+            g = self._gens[p]
+            if g is None:
+                g = self._gens[p] = path_generator(self._seed, p)
+            if self.gaussian:
+                g.standard_normal(out=row)
+            else:
+                g.random(out=row)
+
     def _refill(self, paths: np.ndarray) -> None:
         chunk = len(self._scratch)
         for lo in range(0, len(paths), chunk):
             part = paths[lo : lo + chunk]
-            for row, p in zip(self._scratch, part.tolist()):
-                g = self._gens[p]
-                if g is None:
-                    g = self._gens[p] = path_generator(self._seed, p)
-                if self.gaussian:
-                    g.standard_normal(out=row)
-                else:
-                    g.random(out=row)
+            self._draw(part.tolist(), self._scratch)
             self._buf_rec[:, part] = self._scratch_rec[: len(part)].T
 
     def take(self, paths: np.ndarray) -> np.ndarray:
@@ -126,6 +136,21 @@ class PathStreams:
             self._refill(paths)
         self._step += 1
         return self._buf[slot].take(paths, axis=0)
+
+    def hand_out(self, path: int) -> Iterator[np.ndarray]:
+        """Every later draw of ``path`` from the shared step on, as
+        ``(steps, k)`` arrays: the buffered rest of the current block,
+        then whole blocks from its own generator.  The path leaves the
+        lockstep for good: ``take`` must not list it again."""
+        slot = self._step % self.block
+        rest = [self._buf[slot:, path].copy()] if slot else []
+        return itertools.chain(rest, self._blocks(path))
+
+    def _blocks(self, path: int) -> Iterator[np.ndarray]:
+        while True:
+            out = np.empty((1, self.block, self.k))
+            self._draw([path], out)
+            yield out[0]
 
 
 def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[float, ...]:
@@ -155,10 +180,13 @@ class LiveSet:
     the first slot of the sample grid (``+inf`` appended) each has not
     filled.  The run ends at ``end``, inclusive: a time below ``end_bound``
     is in it.  Times are in engine clock units, ``scale`` per unit of the
-    run window.  Raises ConfigRangeError on a negative path count.
+    run window.  Raises ConfigRangeError on a path count that is not a
+    nonnegative integer.
     """
 
     def __init__(self, n_paths: int, horizon, t_max: float, sample_times, scale: float = 1.0):
+        if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+            raise ConfigRangeError(f"n_paths = {n_paths!r} must be an integer")
         if n_paths < 0:
             raise ConfigRangeError(f"n_paths = {n_paths} must be >= 0")
         self.ids = np.arange(n_paths)

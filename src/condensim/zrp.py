@@ -10,11 +10,17 @@ converge to the absorbed diffusion.
 Ensembles are stepped in lockstep with numpy; every path consumes
 exactly two uniforms per event from its own counter-based stream, so
 results are independent of batching and bit-reproducible per
-(config, seed, path index).
+(config, seed, path index).  Once few paths are left (``FINISH_EDGES``),
+they leave the lockstep for good and each runs to its end alone in
+plain Python, with the same draws and the same float expressions in the
+same order, so the outputs keep every bit.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +38,14 @@ G_FAMILIES = ("default", "corrected")
 # measured crossover is near 100 columns at E = 6 and near 230 at
 # E = 121 and 272.
 ROW_SCAN_WIDTH = 200
+
+# Live edge evaluations per iteration (width x E) at or below which the
+# lockstep stops and each remaining path runs to its end alone in plain
+# Python (``_finish``).  On a 2-vCPU x86 host a narrow lockstep iteration
+# costs 15-30 us at any width and a Python event about 0.9 us at E = 6.
+# On K3 this finishes the last 16 paths; a chain of more than 96 edges
+# never leaves the lockstep.
+FINISH_EDGES = 96
 
 
 def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
@@ -213,73 +227,146 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
         derive_seed(config.seed, "zrp"), n_paths, values_per_step=2, block=256
     )
     width = -1
-    while True:
-        # Observe the state at t, the start included.  The record is the
-        # first time a site holds >= (1-delta) N, set only by a path still
-        # in the run; its winner is the fullest site.  Without a horizon a
-        # path stops at its record, which is its last sample.
-        keep = None
-        if eta.size and eta.max() >= cond_level:
-            rows = np.flatnonzero(eta.max(axis=0) >= cond_level)
-            rows = rows[np.isnan(t_cond[live.ids[rows]])]
-            if rows.size:
-                rows = rows[live.t[rows] < live.end]
-                pids = live.ids[rows]
-                t_cond[pids] = live.t[rows] / scale
-                winner[pids] = eta[:, rows].argmax(axis=0)
-                if config.horizon is None:
-                    keep = np.ones(live.ids.size, dtype=bool)
-                    keep[rows] = False
-                    if n_samp:
-                        bound = np.where(keep, -np.inf, np.nextafter(live.t, np.inf))
-                        due, slots = live.due_samples(bound)
-                        samples[live.ids[due], slots] = eta[:, due].T / n
-        (eta,) = live.retire(keep, eta)
-        if not live.ids.size:
-            break
+    # A g that vanishes at some n > 0 can leave every rate of a path zero:
+    # its wait then divides to inf, quietly.  Entered once, not per
+    # iteration, where it would cost about 1.7 us (timeit).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            # Observe the state at t, the start included.  The record is the
+            # first time a site holds >= (1-delta) N, set only by a path still
+            # in the run; its winner is the fullest site.  Without a horizon a
+            # path stops at its record, which is its last sample.
+            keep = None
+            if eta.size and eta.max() >= cond_level:
+                rows = np.flatnonzero(eta.max(axis=0) >= cond_level)
+                rows = rows[np.isnan(t_cond[live.ids[rows]])]
+                if rows.size:
+                    rows = rows[live.t[rows] < live.end]
+                    pids = live.ids[rows]
+                    t_cond[pids] = live.t[rows] / scale
+                    winner[pids] = eta[:, rows].argmax(axis=0)
+                    if config.horizon is None:
+                        keep = np.ones(live.ids.size, dtype=bool)
+                        keep[rows] = False
+                        if n_samp:
+                            bound = np.where(keep, -np.inf, np.nextafter(live.t, np.inf))
+                            due, slots = live.due_samples(bound)
+                            samples[live.ids[due], slots] = eta[:, due].T / n
+            (eta,) = live.retire(keep, eta)
+            if live.ids.size * n_edges <= FINISH_EDGES:
+                break
 
-        if live.ids.size != width:
-            # Work arrays at the new width.
-            width = live.ids.size
-            cells = n_edges * width
-            at = at_buf[:cells].reshape(n_edges, width)
-            off = off_buf[:cells].reshape(n_edges, width)
-            off[...] = edge_off
-            rates = rate_buf[:cells].reshape(n_edges, width)
-            total = rates[-1]  # shared with the selection, so u*total < cum[-1]
-            less = less_buf[:cells].reshape(n_edges, width)
-            less_count = less.view(np.uint8)
-            # Row pairs (row, previous row) of the row-wise scan.
-            scan = list(zip(rates[1:], rates[:-1])) if width >= ROW_SCAN_WIDTH else None
-        eta.take(src, axis=0, out=at, mode="clip")
-        at += off
-        edge_rate.take(at, out=rates, mode="clip")
-        # Cumulative rates down the edges, cum[e] = cum[e - 1] + rates[e].
-        if scan is None:
-            np.add.accumulate(rates, axis=0, out=rates)
-        else:
-            for row, prev in scan:
-                np.add(row, prev, out=row)
-        u0, u1 = live.draw(streams).T
-        t_new = live.t - np.log1p(-u0) / total
-        if live.iterations == 1:
-            # The first waiting time is the holding time of the start.
-            first_event[live.ids] = t_new / scale
-        if n_samp:
-            # The pre-jump state is the path value on [t, t_new); a path
-            # whose next event passes the end holds it up to the end.
-            end = live.end
-            bound = t_new if t_new.max() < end else np.where(t_new < end, t_new, live.end_bound)
-            rows, slots = live.due_samples(bound)
-            samples[live.ids[rows], slots] = eta[:, rows].T / n
+            if live.ids.size != width:
+                # Work arrays at the new width.
+                width = live.ids.size
+                cells = n_edges * width
+                at = at_buf[:cells].reshape(n_edges, width)
+                off = off_buf[:cells].reshape(n_edges, width)
+                off[...] = edge_off
+                rates = rate_buf[:cells].reshape(n_edges, width)
+                total = rates[-1]  # shared with the selection, so u*total < cum[-1]
+                less = less_buf[:cells].reshape(n_edges, width)
+                less_count = less.view(np.uint8)
+                # Row pairs (row, previous row) of the row-wise scan.
+                scan = list(zip(rates[1:], rates[:-1])) if width >= ROW_SCAN_WIDTH else None
+            eta.take(src, axis=0, out=at, mode="clip")
+            at += off
+            edge_rate.take(at, out=rates, mode="clip")
+            # Cumulative rates down the edges, cum[e] = cum[e - 1] + rates[e].
+            if scan is None:
+                np.add.accumulate(rates, axis=0, out=rates)
+            else:
+                for row, prev in scan:
+                    np.add(row, prev, out=row)
+            u0, u1 = live.draw(streams).T
+            t_new = live.t - np.log1p(-u0) / total
+            if live.iterations == 1:
+                # The first waiting time is the holding time of the start.
+                first_event[live.ids] = t_new / scale
+            if n_samp:
+                # The pre-jump state is the path value on [t, t_new); a path
+                # whose next event passes the end holds it up to the end.
+                end = live.end
+                bound = t_new if t_new.max() < end else np.where(t_new < end, t_new, live.end_bound)
+                rows, slots = live.due_samples(bound)
+                samples[live.ids[rows], slots] = eta[:, rows].T / n
 
-        # Jump on every column; a path past the end retires unread.
-        np.less(rates, u1 * total, out=less)
-        edge = less_count.sum(axis=0, dtype=count_dtype)
-        eta += jump.take(edge, axis=1)
-        live.t = t_new
+            # Jump on every column; a path past the end retires unread.
+            np.less(rates, u1 * total, out=less)
+            edge = less_count.sum(axis=0, dtype=count_dtype)
+            eta += jump.take(edge, axis=1)
+            live.t = t_new
 
+    if live.ids.size:
+        _finish(live, eta, streams, edge_rate, src, dst, n, cond_level,
+                config.horizon is None, (t_cond, winner, first_event, samples))
     return ZrpEnsemble(
         config, eta0, n_paths, np.asarray(config.sample_times),
         samples, t_cond, winner, first_event,
     )
+
+
+def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_record, out):
+    """Run each path still in ``live`` to its end alone, in plain Python.
+
+    Each step is the lockstep iteration of ``simulate_zrp_ensemble`` on
+    one column, with its draws from ``PathStreams.hand_out`` and the
+    same float expressions in the same order, so every output keeps its
+    bits: the logs come from ``np.log1p``, one call per block; the
+    cumulative rate is a sequential sum down the edges (no rate is -0.0,
+    so 0.0 plus the first rate is that rate) and the edge the count of
+    ``cum < u1 * total``.  Every path has been observed at its clock, so
+    a path without a record has no site at the level, and a jump can
+    only lift its target site there.  A path that has taken no lockstep
+    step writes its first event here.
+    """
+    t_cond, winner, first_event, samples = out
+    scale = float(n) * n
+    end, end_bound = float(live.end), float(live.end_bound)
+    grid = live.grid.tolist()
+    rate = edge_rate.tolist()
+    src, dst = src.tolist(), dst.tolist()
+    # (offset into rate, source site) of each edge, in edge order.
+    edges = [(e * (n + 1), j) for e, j in enumerate(src)]
+    paths = zip(live.ids.tolist(), eta.T.tolist(), live.t.tolist(), live.cursor.tolist())
+    for pid, state, t, cursor in paths:
+        first = live.iterations == 0
+        recorded = not np.isnan(t_cond[pid])
+        steps = itertools.chain.from_iterable(
+            zip(np.log1p(-block[:, 0]).tolist(), block[:, 1].tolist())
+            for block in streams.hand_out(pid)
+        )
+        for log_u, u1 in steps:
+            cum, total = [], 0.0
+            for off, j in edges:
+                total += rate[off + state[j]]
+                cum.append(total)
+            if total:
+                t_new = t - log_u / total
+            else:
+                # No event ever comes.  As in IEEE, t - log_u / 0 is inf,
+                # or NaN when log_u is 0.
+                t_new = math.inf if log_u else math.nan
+            if first:
+                first_event[pid] = t_new / scale
+                first = False
+            bound = t_new if t_new < end else end_bound
+            if grid[cursor] < bound:
+                stop = bisect.bisect_left(grid, bound, cursor)
+                samples[pid, cursor:stop] = np.array(state) / n
+                cursor = stop
+            e = bisect.bisect_left(cum, u1 * total)
+            state[src[e]] -= 1
+            state[dst[e]] += 1
+            t = t_new
+            if not t < end:
+                break
+            if not recorded and state[dst[e]] >= cond_level:
+                t_cond[pid] = t / scale
+                winner[pid] = dst[e]
+                recorded = True
+                if stop_at_record:
+                    stop = bisect.bisect_left(grid, math.nextafter(t, math.inf), cursor)
+                    if stop > cursor:
+                        samples[pid, cursor:stop] = np.array(state) / n
+                    break

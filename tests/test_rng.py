@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import condensim.diffusion
 from condensim.diffusion import DiffusionConfig, simulate_diffusion_ensemble
 from condensim.errors import ConfigRangeError
 from condensim.rng import LiveSet, PathStreams, path_generator
@@ -46,6 +47,27 @@ def test_streams_match_path_generators(generator_calls, gaussian, k, block):
         assert np.array_equal(np.reshape(rows[p], (n, k)), want), p
     # One generator per listed path, none for the path never listed.
     assert sorted(generator_calls) == [p for p, n in steps.items() if n > 0]
+
+
+@pytest.mark.parametrize("gaussian, k, block", [(False, 2, 256), (True, 8, 64)])
+@pytest.mark.parametrize("hand_off", ["before-refill", "mid-block", "block-boundary"])
+def test_hand_out_continues_the_stream(gaussian, k, block, hand_off):
+    # After any number of lockstep steps, the draws handed out for a path
+    # are the ones take would have given it from then on, on a twin stream.
+    steps = {"before-refill": 0, "mid-block": block + block // 3, "block-boundary": 2 * block}
+    paths = np.arange(4)
+    streams = PathStreams(77, 4, k, block, gaussian)
+    twin = PathStreams(77, 4, k, block, gaussian)
+    for _ in range(steps[hand_off]):
+        streams.take(paths)
+        twin.take(paths)
+    later = 2 * block + 5
+    want = np.array([twin.take(paths) for _ in range(later)])
+    for p in (1, 3):
+        blocks, got = streams.hand_out(p), []
+        while sum(map(len, got)) < later:
+            got.append(next(blocks))
+        assert np.array_equal(np.concatenate(got)[:later], want[:, p]), p
 
 
 @pytest.mark.parametrize("gaussian, k, block", [(False, 2, 256), (True, 8, 64)])
@@ -130,3 +152,32 @@ def test_path_count(run, n_paths):
         assert ens.n_paths == 0
         assert ens.t_cond.shape == (0,)
         assert ens.samples.shape == (0, 2, 3)
+
+
+@pytest.mark.parametrize("n_paths", [2.0, 2.5, True])
+@pytest.mark.parametrize("run", [_zrp_run, _diffusion_run], ids=["zrp", "diffusion"])
+def test_path_count_must_be_an_integer(run, n_paths):
+    with pytest.raises(ConfigRangeError, match="n_paths"):
+        run(n_paths)
+
+
+@pytest.mark.parametrize("run", [_zrp_run, _diffusion_run], ids=["zrp", "diffusion"])
+def test_numpy_integer_path_count(run):
+    ens = run(np.int64(3))
+    assert ens.n_paths == 3
+    assert np.array_equal(ens.samples, run(3).samples, equal_nan=True)
+
+
+def test_drift_only_run_builds_no_streams(monkeypatch):
+    built = []
+
+    class Counted(PathStreams):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(condensim.diffusion, "PathStreams", Counted)
+    for noise_scale, streams in ((0.0, 0), (1.0, 1)):
+        config = DiffusionConfig(chain=k3(), b=1.5, seed=1, noise_scale=noise_scale, horizon=0.01)
+        simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 5)
+        assert len(built) == streams

@@ -1,4 +1,6 @@
 import hashlib
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from condensim.chain import validate_chain
 from condensim.diffusion import DiffusionConfig
 from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
 from condensim.zrp import (
+    FINISH_EDGES,
     G_FAMILIES,
     ZrpConfig,
     _g_table,
@@ -385,3 +388,79 @@ def test_horizon_runs_are_consistent(seed, size, n, family, n_paths):
         (ens.first_event, part.first_event), (ens.samples, part.samples),
     ):
         np.testing.assert_array_equal(full[:k], sub)
+
+
+def test_a_stopped_path_is_sampled_at_its_record():
+    # N^2 = 1024 is a power of two, so t_cond maps back to the exact
+    # micro clock.  Of 100 paths the first to condense stops in the
+    # lockstep and the last in the finisher; each is sampled up to and
+    # including its t_cond, and its record state is the one at t_cond.
+    eta0 = [11, 11, 10]
+    config = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=4, delta=0.1)
+    probe = simulate_zrp_ensemble(config, eta0, 100)
+    order = np.argsort(probe.t_cond)
+    assert 100 * 6 > FINISH_EDGES and not np.isnan(probe.t_cond[order[-1]])
+    for pid in (order[0], order[-1]):
+        t = probe.t_cond[pid]
+        grid = (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf))
+        ens = simulate_zrp_ensemble(replace(config, sample_times=grid), eta0, 100)
+        before, at, after = ens.samples[pid] * 32
+        assert before.max() < 0.9 * 32 <= at.max()
+        assert at.argmax() == probe.winner[pid]
+        assert np.isnan(after).all()
+
+
+@pytest.mark.parametrize("n_paths", [3, 40])
+def test_frozen_configuration_never_jumps(n_paths):
+    # With b = -1, g(1) = 0: one particle never leaves, every rate is
+    # zero and the first event never comes.  3 paths run only in the
+    # plain-Python finisher, 40 start in the lockstep; neither warns.
+    assert 3 * 6 <= FINISH_EDGES < 40 * 6
+    with pytest.warns(UserWarning, match="b <= 1"):
+        config = ZrpConfig(
+            chain=k3(), n_particles=1, b=-1.0, seed=2, horizon=5.0,
+            sample_times=tuple(np.linspace(0.0, 1.0, 6)),
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths)
+    np.testing.assert_array_equal(ens.first_event, np.inf)
+    # The start is condensed; the path holds it to the horizon.
+    np.testing.assert_array_equal(ens.t_cond, 0.0)
+    np.testing.assert_array_equal(ens.winner, 0)
+    np.testing.assert_array_equal(ens.samples, np.broadcast_to([1.0, 0.0, 0.0], ens.samples.shape))
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 5),
+    n=st.integers(1, 20),
+    family=st.sampled_from(G_FAMILIES),
+    to_horizon=st.booleans(),
+    small=st.integers(1, FINISH_EDGES),
+)
+def test_finisher_matches_the_lockstep(seed, size, n, family, to_horizon, small):
+    # Path i of an ensemble narrow enough to run only in the plain-Python
+    # finisher equals path i of one at least 4x as wide as the crossover,
+    # which starts in the lockstep.
+    rng = np.random.default_rng(seed)
+    chain = random_irreducible_chain(rng, size)
+    crossover = FINISH_EDGES // np.count_nonzero(chain.rates)
+    small = min(small, crossover)
+    horizon = float(rng.uniform(0.005, 0.05)) if to_horizon else None
+    span = horizon or 0.2
+    config = ZrpConfig(
+        chain=chain, n_particles=n, b=float(rng.uniform(1.5, 3.0)), seed=seed,
+        g_family=family, g_correction=float(rng.uniform(0.0, 2.0)),
+        delta=float(rng.uniform(0.1, 0.5)), horizon=horizon,
+        sample_times=tuple(np.unique(np.append(0.0, rng.uniform(0.0, 2 * span, 8)))),
+    )
+    eta0 = rng.multinomial(n, np.full(size, 1.0 / size))
+    part = simulate_zrp_ensemble(config, eta0, small)
+    whole = simulate_zrp_ensemble(config, eta0, 4 * crossover + 1)
+    for a, b in (
+        (part.t_cond, whole.t_cond), (part.winner, whole.winner),
+        (part.first_event, whole.first_event), (part.samples, whole.samples),
+    ):
+        assert np.array_equal(a, b[:small], equal_nan=True)

@@ -38,8 +38,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .chain import ChainSpec, validate_chain
 from .diffusion import DT_RULES, eps_abs_limit
 from .errors import ChainValidationError, ConfigRangeError, ConfigSchemaError
@@ -201,6 +199,8 @@ def parse_config(text: str) -> RunConfig:
     or unknown keys and type errors, ConfigRangeError on out-of-range
     values.
     """
+    import yaml  # here, not at the top: only parsing pays its import
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -50,7 +50,7 @@ FINISH_EDGES = 96
 
 def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
     """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
-    validated >= 0.
+    validated >= 0 and with a finite largest total rate.
 
     The default family g_j(n) = m_j (1 + b/n) satisfies
     n (g_j(n)/m_j - 1) = b exactly for every n >= 1, so the asymptotic
@@ -61,10 +61,18 @@ def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: 
     n = np.arange(n_max + 1)
     n1 = np.where(n > 0, n, 1)
     extra = correction / n1**2 if family == "corrected" else 0.0
-    table = np.where(n > 0, chain.m[:, None] * (1.0 + b / n1 + extra), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.where(n > 0, chain.m[:, None] * (1.0 + b / n1 + extra), 0.0)
+        # No configuration's total rate sum_j g_j(eta_j) lambda_j exceeds
+        # this; an inf total would make every wait 0, and a run never end.
+        top = float((table.max(axis=1) * chain.holding).sum())
     if not np.all(table >= 0):
         raise ConfigRangeError(
             f"jump-rate family {family!r} with b={b} produces negative or NaN rates"
+        )
+    if not math.isfinite(top):
+        raise ConfigRangeError(
+            f"jump-rate family {family!r} with b={b} gives total rates that overflow a double"
         )
     return table
 

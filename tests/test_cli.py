@@ -419,6 +419,21 @@ def test_out_flag_overrides_directory(tmp_path):
     assert (alt / "chain_info.csv").exists()
 
 
+def test_overflowing_rates_exit_two(tmp_path):
+    # Rates that sum to inf make every wait 0, so a run to a horizon would
+    # never end: a config error.  Under a timeout, so a hang fails.
+    cfg, _ = write_config(tmp_path, paths=5)
+    doc = cfg.read_text().replace("b: 1.5", "b: 1.0e+308")
+    cfg.write_text(doc.replace("delta: 0.05", "delta: 0.05\n  q: 1.7e+308\n  horizon: 1.0"))
+    script = (
+        "from condensim.cli import main\n"
+        f"print('exit', main(['zrp-run', {str(cfg)!r}]))\n"
+    )
+    done = run_python(script, timeout=60)
+    assert done.stdout.splitlines()[-1] == "exit 2", done.stderr
+    assert "overflow" in done.stderr
+
+
 def test_cold_start_loads_no_heavy_scipy(tmp_path):
     # Every subcommand runs in its own process and pays the import of
     # condensim; scipy.stats, scipy.sparse and scipy.special would make
@@ -439,3 +454,20 @@ def test_cold_start_loads_no_heavy_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()  # chain-info prints its table in between
     assert (lines[0], lines[-1]) == ("import []", "chain-info 0 []")
+
+
+def test_cold_start_loads_no_yaml():
+    # PyYAML takes about 20 ms to import, and only parse_config needs it:
+    # importing condensim and its CLI leaves it out.
+    config = Path(__file__).resolve().parents[1] / "configs" / "asym3.yaml"
+    script = (
+        "import sys\n"
+        "import condensim\n"
+        "import condensim.cli\n"
+        "print('import', 'yaml' in sys.modules)\n"
+        f"condensim.parse_config(open({str(config)!r}).read())\n"
+        "print('parse', 'yaml' in sys.modules)\n"
+    )
+    done = run_python(script, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["import False", "parse True"]

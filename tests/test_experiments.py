@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from condensim import experiments
 from condensim.bumps import BumpFunction, standard_bumps
 from condensim.chain import dirichlet_matrix, validate_chain
 from condensim.diffusion import drift_field, generator_apply
 from condensim.errors import (
     BadExponentsError,
     BadSubsetError,
+    ConfigRangeError,
     EmptyRegionError,
     IncompletePathError,
     MismatchedChainsError,
@@ -312,6 +315,77 @@ class TestMartingaleResidual:
         samples = np.full((2, 3, 3), np.nan)
         with pytest.raises(IncompletePathError):
             martingale_residual(samples, np.arange(3.0), h, lambda p: p.sum(-1))
+
+    def test_no_paths_rejected(self):
+        h = BumpFunction(center=np.full(3, 1 / 3), width=np.full(3, 0.25))
+        with pytest.raises(IncompletePathError):
+            martingale_residual(np.zeros((0, 3, 3)), np.arange(3.0), h, lambda p: p.sum(-1))
+
+    @pytest.mark.parametrize("n_times", [0, 2, 4])
+    def test_grid_of_another_length_rejected(self, n_times):
+        h = BumpFunction(center=np.full(3, 1 / 3), width=np.full(3, 0.25))
+        samples = np.full((2, 3, 3), 1 / 3)
+        with pytest.raises(ConfigRangeError):
+            martingale_residual(samples, np.arange(float(n_times)), h, lambda p: p.sum(-1))
+
+    @pytest.mark.parametrize("engine", ["diffusion", "zrp"])
+    @pytest.mark.parametrize(
+        "block, widths",
+        [(14, [2] * 5), (21, [3, 3, 3, 1]), (4, [1] * 10)],  # T = 7 > 4
+    )
+    def test_blocks_change_no_bit(self, monkeypatch, engine, block, widths):
+        samples = _lattice_samples(10, 7)
+        times = np.linspace(0.0, 0.15, 7)
+        for h in standard_bumps(3, collar=4e-4):
+            calls = []
+            generator = _generators(h)[engine]
+
+            def recorded(points):
+                calls.append(points.shape[0])
+                return generator(points)
+
+            monkeypatch.setattr(experiments, "GENERATOR_BLOCK_POINTS", 10**9)
+            whole = martingale_residual(samples, times, h, recorded)
+            assert calls == [10]
+            calls.clear()
+            monkeypatch.setattr(experiments, "GENERATOR_BLOCK_POINTS", block)
+            blocked = martingale_residual(samples, times, h, recorded)
+            assert calls == widths
+            assert whole.mean != 0.0
+            assert (blocked.mean, blocked.stderr, blocked.n_paths) == (
+                whole.mean, whole.stderr, whole.n_paths,
+            )
+
+    @pytest.mark.parametrize("engine", ["diffusion", "zrp"])
+    def test_memory_bounded_in_paths(self, engine):
+        # One generator call on all 2000 x 151 points would peak at 63 MB
+        # (diffusion) and 28 MB (ZRP); the blocks keep it near 10 MB.
+        samples = _lattice_samples(2000, 151)
+        times = np.linspace(0.0, 0.15, 151)
+        h = standard_bumps(3, collar=4e-4)[0]
+        generator = _generators(h)[engine]
+        tracemalloc.start()
+        try:
+            martingale_residual(samples, times, h, generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+def _lattice_samples(paths, n_times, n=100, seed=5):
+    """(paths, n_times, 3) occupation fractions of n particles near the
+    barycentre: lattice points that repeat, inside the standard bumps."""
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(n, np.full(3, 1 / 3), size=(paths, n_times)) / n
+
+
+def _generators(h):
+    config = ZrpConfig(chain=k3(), n_particles=100, b=1.5, seed=0)
+    return {
+        "diffusion": lambda points: generator_apply(config.chain, config.b, h, points),
+        "zrp": lambda points: zrp_generator_apply(config, h, points),
+    }
 
 
 def _generator_cases():

@@ -19,7 +19,7 @@ from condensim.zrp import (
     zrp_generator_apply,
 )
 
-from _chains import asym3, k3, random_irreducible_chain, ring
+from _chains import asym3, k3, random_irreducible_chain, ring, run_python
 
 
 @pytest.fixture
@@ -429,6 +429,35 @@ def test_frozen_configuration_never_jumps(n_paths):
     np.testing.assert_array_equal(ens.t_cond, 0.0)
     np.testing.assert_array_equal(ens.winner, 0)
     np.testing.assert_array_equal(ens.samples, np.broadcast_to([1.0, 0.0, 0.0], ens.samples.shape))
+
+
+@pytest.mark.parametrize("n_paths", [3, 40])
+def test_overflowing_total_rate_rejected(n_paths):
+    # b = 1e308 on K3 with N = 3 sums the rates to inf: every wait would
+    # be 0 and the horizon never reached.  3 paths would run only in the
+    # finisher, 40 in the lockstep.  A fresh interpreter under a timeout,
+    # so that a regression fails instead of hanging the suite.
+    script = (
+        "from condensim.chain import validate_chain\n"
+        "from condensim.errors import ConfigRangeError\n"
+        "from condensim.zrp import ZrpConfig, simulate_zrp_ensemble\n"
+        "k3 = validate_chain([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])\n"
+        "config = ZrpConfig(chain=k3, n_particles=3, b=1e308, seed=1, horizon=1.0)\n"
+        "try:\n"
+        f"    simulate_zrp_ensemble(config, [1, 1, 1], {n_paths})\n"
+        "except ConfigRangeError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = run_python(script, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "overflow" in done.stdout
+    assert "Warning" not in done.stderr
+
+
+def test_generator_rejects_overflowing_total_rate():
+    config = ZrpConfig(chain=k3(), n_particles=3, b=1e308, seed=1)
+    with pytest.raises(ConfigRangeError, match="overflow"):
+        zrp_generator_apply(config, lambda x: x.sum(-1), np.array([1.0, 1.0, 1.0]) / 3)
 
 
 @settings(max_examples=25)

@@ -28,7 +28,6 @@ from .experiments import (
     superharmonic_sign_check,
     hitting_bound_check,
     generator_taylor_residual,
-    trace_rate_mc,
     winner_distribution,
 )
 from .zrp import (

@@ -91,9 +91,6 @@ class ChainSpec:
             and np.array_equal(self.m, other.m)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rates.tobytes(), self.m.tobytes()))
-
 
 def _reaches_all(edges: np.ndarray) -> bool:
     """Whether every site is reachable from site 0 along ``edges[j, k]``."""

@@ -244,15 +244,11 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
     chain = config.build_chain()
     _start(config, chain, absorbing=True)
     dens = _diffusion(config, chain, manifest.seed, sampled=False)
-    hist_d = winner_distribution(
-        dens.trapped_vertex, chain.size, engine="diffusion", chain_id=chain.fingerprint()
-    )
+    hist_d = winner_distribution(dens.trapped_vertex, chain.size, chain_id=chain.fingerprint())
     rows = []
     for n in config.model.N:
         zens = _zrp(config, chain, n, manifest.seed, sampled=False)
-        hist_z = winner_distribution(
-            zens.winner, chain.size, engine="zrp", chain_id=chain.fingerprint()
-        )
+        hist_z = winner_distribution(zens.winner, chain.size, chain_id=chain.fingerprint())
         cmp = compare_winner(hist_z, hist_d)
         ks_cond = ks_distance(zens.t_cond, dens.t_cond)
         ks_sigma1 = ks_distance(zens.t_cond, dens.sigma1)

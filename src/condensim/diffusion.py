@@ -341,7 +341,7 @@ def simulate_diffusion_ensemble(
         # The last step ends on the end of the run.
         dt = np.minimum(dt, live.end - live.t)
 
-        xi = None if streams is None else live.draw(streams)
+        xi = None if streams is None else streams.take(live.ids)
         x, t = em_step(faces, masks, live.ids, x, live.t, drift_vec, dt, xi, config.noise_scale)
         # Below end/2 the gap end - t is rounded, so t + dt can land an
         # ulp past the end (clamped here) or short of it (one more step).

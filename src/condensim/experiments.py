@@ -60,13 +60,10 @@ class WinnerHistogram:
 
     counts: np.ndarray
     total: int
-    engine: str
     chain_id: str = ""
 
 
-def winner_distribution(
-    winners, size: int, engine: str = "", chain_id: str = ""
-) -> WinnerHistogram:
+def winner_distribution(winners, size: int, chain_id: str = "") -> WinnerHistogram:
     """Tally winners; every path must have reached its stopping rule."""
     w = np.asarray(winners)
     if w.size == 0:
@@ -74,7 +71,7 @@ def winner_distribution(
     if np.any(~np.isfinite(w.astype(float))) or np.any(w < 0) or np.any(w >= size):
         raise IncompletePathError("some paths did not reach their stopping rule")
     counts = np.bincount(w.astype(np.int64), minlength=size)
-    return WinnerHistogram(counts=counts, total=int(w.size), engine=engine, chain_id=chain_id)
+    return WinnerHistogram(counts=counts, total=int(w.size), chain_id=chain_id)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,6 @@ class HittingBoundCheck:
     bound share.
     """
 
-    chain_id: str
     B: tuple[int, ...]
     b: float
     q: float
@@ -175,7 +171,6 @@ def hitting_bound_check(
     mean, stderr, n = _mean_stderr(samples)
     ci = 1.96 * stderr
     return HittingBoundCheck(
-        chain_id=chain.fingerprint(),
         B=bset,
         b=b,
         q=q,
@@ -285,7 +280,6 @@ def _simplex_grid(mass: float, n: int, floor: float, resolution: int):
 class SuperharmonicReport:
     """Sign certificate of the super-harmonicity expression on a grid."""
 
-    chain_id: str
     B: tuple[int, ...]
     b: float
     p: float
@@ -313,7 +307,6 @@ def superharmonic_sign_check(
     values = superharmonic_expression(chain, bset, b, p, grid)
     imax = int(values.argmax())
     return SuperharmonicReport(
-        chain_id=chain.fingerprint(),
         B=bset,
         b=b,
         p=p,
@@ -447,61 +440,3 @@ def martingale_residual(
     resid = h.value(samples[:, -1, :]) - h.value(samples[:, 0, :]) - integral
     mean, stderr, n = _mean_stderr(resid)
     return MartingaleResidual(mean=mean, stderr=stderr, n_paths=n)
-
-
-@dataclass(frozen=True)
-class TraceRateEstimate:
-    """Excursion-simulation estimate of one row of the trace rates."""
-
-    j: int
-    targets: tuple[int, ...]
-    rates: np.ndarray
-    stderr: np.ndarray
-    n_excursions: int
-
-
-def trace_rate_mc(
-    chain: ChainSpec, B, j: int, n_excursions: int, seed: int
-) -> TraceRateEstimate:
-    """Estimate r^B(j, .) = lambda(j) P_j[return to B lands at .].
-
-    Simulates the embedded jump chain from j until it hits B again and
-    tallies the landing site; completely independent of the harmonic
-    linear solve it cross-checks.  Landing back at j itself is a
-    non-event of the trace chain and contributes to no target.
-    """
-    bset = _normalize_subset(chain.size, B)
-    if j not in bset:
-        raise MismatchedChainsError(f"start site {j} not in subset {bset}")
-    rng = np.random.default_rng(seed)
-    cum = (chain.rates / chain.holding[:, None]).cumsum(axis=1)
-    cum /= cum[:, -1:]  # u < 1 always selects a real edge
-    in_b = np.zeros(chain.size, dtype=bool)
-    in_b[list(bset)] = True
-
-    landed = np.full(n_excursions, -1, dtype=np.int64)
-    # First jump away from j, then run until the walk is back in B.
-    state = (cum[j][None, :] >= rng.random(n_excursions)[:, None]).argmax(axis=1)
-    active = np.arange(n_excursions)
-    while active.size:
-        arrived = in_b[state]
-        if arrived.any():
-            landed[active[arrived]] = state[arrived]
-            active = active[~arrived]
-            state = state[~arrived]
-        if not active.size:
-            break
-        u = rng.random(active.size)
-        state = (cum[state] >= u[:, None]).argmax(axis=1)
-
-    others = tuple(k for k in bset if k != j)
-    lam = chain.holding[j]
-    p_hat = np.array([(landed == k).mean() for k in others])
-    stderr = lam * np.sqrt(p_hat * (1.0 - p_hat) / n_excursions)
-    return TraceRateEstimate(
-        j=j,
-        targets=others,
-        rates=lam * p_hat,
-        stderr=stderr,
-        n_excursions=n_excursions,
-    )

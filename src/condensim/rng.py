@@ -20,7 +20,8 @@ Lockstep contract: every path passed to ``PathStreams.take`` has taken
 exactly as many steps as every other path passed to it; paths only
 ever leave the live set, never skip a step or join late.  One shared
 step counter therefore locates every listed path in its buffer.
-``LiveSet``, the live set of both engines, holds that contract.  A path
+Both engines keep it with ``LiveSet``: each iteration takes once for
+its ``ids``, which a path leaves only through ``retire``.  A path
 leaves the lockstep for good when ``PathStreams.hand_out`` gives it the
 rest of its stream, to be drawn one step at a time outside.
 
@@ -195,12 +196,6 @@ class LiveSet:
         self.end = (t_max if horizon is None else horizon) * scale
         self.end_bound = np.nextafter(self.end, np.inf)
         self.grid = np.append(np.asarray(sample_times, dtype=float) * scale, np.inf)
-        self.iterations = 0
-
-    def draw(self, streams: PathStreams) -> np.ndarray:
-        """The next draws of every live path, once per iteration; ``iterations`` counts them."""
-        self.iterations += 1
-        return streams.take(self.ids)
 
     def due_samples(self, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, slots) of every sample slot the rows reach this iteration.

@@ -47,6 +47,11 @@ ROW_SCAN_WIDTH = 200
 # never leaves the lockstep.
 FINISH_EDGES = 96
 
+# Bytes the rate tables of one configuration may take: the L x (N + 1)
+# table of g_j(n) and the E x (N + 1) table of edge rates.  K3 passes it
+# above N = 932,066; every configuration in use is far below.
+TABLE_BYTES = 1 << 26
+
 
 def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
     """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
@@ -99,8 +104,17 @@ class ZrpConfig:
     t_max: float = 1e3
 
     def __post_init__(self):
-        if not self.n_particles >= 1:
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ConfigRangeError(f"n_particles = {n!r} must be an integer")
+        if not n >= 1:
             raise ConfigRangeError("need at least one particle")
+        cells = (self.chain.size + np.count_nonzero(self.chain.rates)) * (int(n) + 1)
+        if cells * 8 > TABLE_BYTES:
+            raise ConfigRangeError(
+                f"n_particles = {n} needs rate tables of {cells * 8} bytes, "
+                f"above the cap of {TABLE_BYTES}"
+            )
         if not 0.0 < self.delta < 1.0:
             raise ConfigRangeError("condensation threshold delta must be in (0, 1)")
         times = check_window(self.horizon, self.t_max, self.sample_times)
@@ -126,13 +140,13 @@ class ZrpEnsemble:
     samples: np.ndarray | None  # (n_paths, T, L) occupation fractions
     t_cond: np.ndarray  # (n_paths,) first condensation time, nan if none
     winner: np.ndarray  # (n_paths,) condensed site, -1 if none
-    first_event: np.ndarray  # (n_paths,) time of first jump, nan if none
 
 
 def _check_lattice(x: np.ndarray, n: int) -> np.ndarray:
     xn = np.asarray(x, dtype=float) * n
     eta = np.rint(xn)
-    if np.any(np.abs(xn - eta) > 1e-9) or np.any(eta < 0):
+    # Written so that a NaN coordinate fails.
+    if not (np.all(np.abs(xn - eta) <= 1e-9) and np.all(eta >= 0)):
         raise NotLatticeError(f"point is not on the 1/{n} simplex lattice")
     if abs(eta.sum(axis=-1) - n).max() > 0:
         raise NotLatticeError("lattice point does not carry the full mass")
@@ -192,11 +206,14 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     chain = config.chain
     size = chain.size
     n = config.n_particles
-    eta0 = np.asarray(eta0, dtype=np.int64)
-    if eta0.shape != (size,) or np.any(eta0 < 0) or eta0.sum() != n:
+    counts = np.asarray(eta0, dtype=float)
+    # NaN fails each test.  Counts of sum n are at most n: exact as doubles.
+    whole = np.all(counts >= 0) and np.all(counts == np.floor(counts))
+    if counts.shape != (size,) or not whole or counts.sum() != n:
         raise BadInitialError(
             f"initial configuration must hold exactly {n} particles on {size} sites"
         )
+    eta0 = counts.astype(np.int64)
     scale = float(n) * n  # micro time per macro unit
     live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times, scale)
 
@@ -208,7 +225,6 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
 
     t_cond = np.full(n_paths, np.nan)
     winner = np.full(n_paths, -1, dtype=np.int64)
-    first_event = np.full(n_paths, np.nan)
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
 
     # Rate of edge e at source occupancy k is edge_rate[e * (n + 1) + k].
@@ -286,11 +302,8 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
             else:
                 for row, prev in scan:
                     np.add(row, prev, out=row)
-            u0, u1 = live.draw(streams).T
+            u0, u1 = streams.take(live.ids).T
             t_new = live.t - np.log1p(-u0) / total
-            if live.iterations == 1:
-                # The first waiting time is the holding time of the start.
-                first_event[live.ids] = t_new / scale
             if n_samp:
                 # The pre-jump state is the path value on [t, t_new); a path
                 # whose next event passes the end holds it up to the end.
@@ -307,10 +320,9 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
 
     if live.ids.size:
         _finish(live, eta, streams, edge_rate, src, dst, n, cond_level,
-                config.horizon is None, (t_cond, winner, first_event, samples))
+                config.horizon is None, (t_cond, winner, samples))
     return ZrpEnsemble(
-        config, eta0, n_paths, np.asarray(config.sample_times),
-        samples, t_cond, winner, first_event,
+        config, eta0, n_paths, np.asarray(config.sample_times), samples, t_cond, winner
     )
 
 
@@ -325,10 +337,9 @@ def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_reco
     so 0.0 plus the first rate is that rate) and the edge the count of
     ``cum < u1 * total``.  Every path has been observed at its clock, so
     a path without a record has no site at the level, and a jump can
-    only lift its target site there.  A path that has taken no lockstep
-    step writes its first event here.
+    only lift its target site there.
     """
-    t_cond, winner, first_event, samples = out
+    t_cond, winner, samples = out
     scale = float(n) * n
     end, end_bound = float(live.end), float(live.end_bound)
     grid = live.grid.tolist()
@@ -338,7 +349,6 @@ def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_reco
     edges = [(e * (n + 1), j) for e, j in enumerate(src)]
     paths = zip(live.ids.tolist(), eta.T.tolist(), live.t.tolist(), live.cursor.tolist())
     for pid, state, t, cursor in paths:
-        first = live.iterations == 0
         recorded = not np.isnan(t_cond[pid])
         steps = itertools.chain.from_iterable(
             zip(np.log1p(-block[:, 0]).tolist(), block[:, 1].tolist())
@@ -355,9 +365,6 @@ def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_reco
                 # No event ever comes.  As in IEEE, t - log_u / 0 is inf,
                 # or NaN when log_u is 0.
                 t_new = math.inf if log_u else math.nan
-            if first:
-                first_event[pid] = t_new / scale
-                first = False
             bound = t_new if t_new < end else end_bound
             if grid[cursor] < bound:
                 stop = bisect.bisect_left(grid, bound, cursor)

@@ -1,14 +1,17 @@
-"""Shared test chains, generators of randomized irreducible chains, and
-a runner for scripts in a fresh interpreter."""
+"""Shared test chains, generators of randomized irreducible chains, a
+Monte-Carlo estimate of the trace rates, and a runner for scripts in a
+fresh interpreter."""
 
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from condensim.chain import ChainSpec, validate_chain
+from condensim.chain import ChainSpec, _normalize_subset, validate_chain
+from condensim.errors import MismatchedChainsError
 
 # Complete graph on three sites, unit rates; m is uniform by symmetry.
 K3_RATES = np.array(
@@ -118,4 +121,62 @@ def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", script], env=env, timeout=timeout,
         capture_output=True, text=True,
+    )
+
+
+@dataclass(frozen=True)
+class TraceRateEstimate:
+    """Excursion-simulation estimate of one row of the trace rates."""
+
+    j: int
+    targets: tuple[int, ...]
+    rates: np.ndarray
+    stderr: np.ndarray
+    n_excursions: int
+
+
+def trace_rate_mc(
+    chain: ChainSpec, B, j: int, n_excursions: int, seed: int
+) -> TraceRateEstimate:
+    """Estimate r^B(j, .) = lambda(j) P_j[return to B lands at .].
+
+    Simulates the embedded jump chain from j until it hits B again and
+    tallies the landing site; completely independent of the harmonic
+    linear solve it cross-checks.  Landing back at j itself is a
+    non-event of the trace chain and contributes to no target.
+    """
+    bset = _normalize_subset(chain.size, B)
+    if j not in bset:
+        raise MismatchedChainsError(f"start site {j} not in subset {bset}")
+    rng = np.random.default_rng(seed)
+    cum = (chain.rates / chain.holding[:, None]).cumsum(axis=1)
+    cum /= cum[:, -1:]  # u < 1 always selects a real edge
+    in_b = np.zeros(chain.size, dtype=bool)
+    in_b[list(bset)] = True
+
+    landed = np.full(n_excursions, -1, dtype=np.int64)
+    # First jump away from j, then run until the walk is back in B.
+    state = (cum[j][None, :] >= rng.random(n_excursions)[:, None]).argmax(axis=1)
+    active = np.arange(n_excursions)
+    while active.size:
+        arrived = in_b[state]
+        if arrived.any():
+            landed[active[arrived]] = state[arrived]
+            active = active[~arrived]
+            state = state[~arrived]
+        if not active.size:
+            break
+        u = rng.random(active.size)
+        state = (cum[state] >= u[:, None]).argmax(axis=1)
+
+    others = tuple(k for k in bset if k != j)
+    lam = chain.holding[j]
+    p_hat = np.array([(landed == k).mean() for k in others])
+    stderr = lam * np.sqrt(p_hat * (1.0 - p_hat) / n_excursions)
+    return TraceRateEstimate(
+        j=j,
+        targets=others,
+        rates=lam * p_hat,
+        stderr=stderr,
+        n_excursions=n_excursions,
     )

@@ -26,7 +26,6 @@ from condensim.experiments import (
     superharmonic_sign_check,
     hitting_bound_check,
     generator_taylor_residual,
-    trace_rate_mc,
     winner_distribution,
     zrp_generator_apply,
 )
@@ -37,6 +36,7 @@ from _chains import (
     asym4,
     k3,
     random_irreducible_chain,
+    trace_rate_mc,
 )
 
 SEED = 20260810
@@ -155,11 +155,11 @@ def test_criterion_4_hitting_time_bound(diff_k3):
 def test_criterion_5_convergence(diff_k3, zrp_k3):
     t0 = time.monotonic()
     chain = k3()
-    hist_d = winner_distribution(diff_k3.trapped_vertex, 3, engine="diffusion")
+    hist_d = winner_distribution(diff_k3.trapped_vertex, 3)
     tvs, ses, ks_lit, ks_like = [], [], [], []
     for n in N_LIST:
         ens = zrp_k3[n]
-        hist_z = winner_distribution(ens.winner, 3, engine="zrp")
+        hist_z = winner_distribution(ens.winner, 3)
         cmp = compare_winner(hist_z, hist_d)
         tvs.append(cmp.tv)
         ses.append(cmp.tv_stderr)
@@ -310,8 +310,8 @@ def test_criterion_10_eps_abs_robustness(diff_k3):
         chain=k3(), b=1.5, seed=SEED, eps_abs=1e-3, cond_delta=DELTA
     )
     ens2 = simulate_diffusion_ensemble(coarse, np.full(3, 1 / 3), PATHS)
-    h1 = winner_distribution(diff_k3.trapped_vertex, 3, engine="diffusion")
-    h2 = winner_distribution(ens2.trapped_vertex, 3, engine="diffusion")
+    h1 = winner_distribution(diff_k3.trapped_vertex, 3)
+    h2 = winner_distribution(ens2.trapped_vertex, 3)
     tv = compare_winner(h1, h2).tv
     elapsed = time.monotonic() - t0
     report(

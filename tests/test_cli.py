@@ -326,7 +326,7 @@ class TestExitCodes:
 
         def fake_sign_check(chain, subset, b, p, eps, grid):
             return SuperharmonicReport(
-                chain_id="x", B=tuple(subset), b=b, p=p, eps=eps, a0=0.1,
+                B=tuple(subset), b=b, p=p, eps=eps, a0=0.1,
                 resolution=grid, n_points=1, max_value=1.0, argmax=(0.0,) * 3,
             )
 
@@ -432,6 +432,22 @@ def test_overflowing_rates_exit_two(tmp_path):
     done = run_python(script, timeout=60)
     assert done.stdout.splitlines()[-1] == "exit 2", done.stderr
     assert "overflow" in done.stderr
+
+
+def test_huge_particle_count_exits_two(tmp_path):
+    # N = 10^9 would ask for tens of GB of rate tables; the child's
+    # address space is capped, so a table built before the check fails
+    # with a MemoryError instead of taking the host's memory.
+    cfg, _ = write_config(tmp_path, paths=5, n_list="1000000000")
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from condensim.cli import main\n"
+        f"print('exit', main(['zrp-run', {str(cfg)!r}]))\n"
+    )
+    done = run_python(script, timeout=60)
+    assert done.stdout.splitlines()[-1] == "exit 2", done.stderr
+    assert "n_particles" in done.stderr
 
 
 def test_cold_start_loads_no_heavy_scipy(tmp_path):

@@ -31,12 +31,11 @@ from condensim.experiments import (
     superharmonic_sign_check,
     hitting_bound_check,
     generator_taylor_residual,
-    trace_rate_mc,
     winner_distribution,
 )
 from condensim.zrp import ZrpConfig, simulate_zrp_ensemble, zrp_generator_apply
 
-from _chains import asym3, k3
+from _chains import asym3, k3, trace_rate_mc
 
 
 class TestMeanStderr:
@@ -102,7 +101,7 @@ class TestCompareWinner:
         c1[0] += 1  # each histogram holds at least one path
         c2[-1] += 1
         cmp = compare_winner(
-            WinnerHistogram(c1, int(c1.sum()), "zrp"), WinnerHistogram(c2, int(c2.sum()), "diff")
+            WinnerHistogram(c1, int(c1.sum())), WinnerHistogram(c2, int(c2.sum()))
         )
         want = stats.chi2.sf(cmp.chi2, cmp.dof) if cmp.dof > 0 else 1.0
         assert cmp.pvalue == want

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from condensim.chain import validate_chain
 from condensim.diffusion import DiffusionConfig
 from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
+from condensim.rng import derive_seed, path_generator
 from condensim.zrp import (
     FINISH_EDGES,
     G_FAMILIES,
+    TABLE_BYTES,
     ZrpConfig,
     _g_table,
     simulate_zrp_ensemble,
@@ -71,6 +73,15 @@ class TestGeneratorApply:
         config = ZrpConfig(chain=two_site, n_particles=3, b=1.5, seed=0)
         with pytest.raises(NotLatticeError):
             zrp_generator_apply(config, lambda x: x[..., 0], [0.5, 0.5])
+
+    def test_nan_point_rejected(self, two_site):
+        # A NaN coordinate is off the lattice; it used to pass the check,
+        # whose comparisons are false for NaN, and fail later as an index.
+        config = ZrpConfig(chain=two_site, n_particles=3, b=1.5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NotLatticeError):
+                zrp_generator_apply(config, lambda x: x[..., 0], [np.nan, 1.0])
 
     def test_batch_evaluation(self):
         # A (paths, T, L) batch with repeated rows gives exactly the
@@ -141,6 +152,28 @@ class TestSimulate:
         with pytest.raises(BadInitialError):
             simulate_zrp_ensemble(config, [3, 3, 3], 1)
 
+    @pytest.mark.parametrize("eta0", [[1.5, 1.5, 1.0], [np.nan, 2, 1], [np.inf, 2, 1]])
+    def test_start_that_is_not_counts_rejected(self, eta0):
+        # [1.5, 1.5, 1.0] carries 4 particles, but truncated it would run
+        # from [1, 1, 1]; NaN would not convert to an integer.
+        config = ZrpConfig(chain=k3(), n_particles=3, b=1.5, seed=1)
+        with pytest.raises(BadInitialError):
+            simulate_zrp_ensemble(config, eta0, 2)
+
+    @pytest.mark.parametrize("n", [2.0, True, 1.5])
+    def test_particle_count_must_be_an_integer(self, n):
+        with pytest.raises(ConfigRangeError, match="n_particles"):
+            ZrpConfig(chain=k3(), n_particles=n, b=1.5, seed=1)
+
+    def test_particle_count_bounded_before_any_table(self):
+        # 10^9 particles on K3 would ask for 72 GB of rate tables.
+        with pytest.raises(ConfigRangeError, match="n_particles"):
+            ZrpConfig(chain=k3(), n_particles=10**9, b=1.5, seed=1)
+        largest = TABLE_BYTES // (8 * 9) - 1
+        ZrpConfig(chain=k3(), n_particles=np.int64(largest), b=1.5, seed=1)
+        with pytest.raises(ConfigRangeError, match="n_particles"):
+            ZrpConfig(chain=k3(), n_particles=largest + 1, b=1.5, seed=1)
+
     def test_already_condensed_at_start(self, generator_calls):
         for sample_times in ((), (0.0, 0.01)):
             config = ZrpConfig(
@@ -152,7 +185,6 @@ class TestSimulate:
             assert ens.winner[0] == 0
             # Stopped at time zero before any jump: the start is its only
             # sample, and it builds no random generator.
-            np.testing.assert_array_equal(ens.first_event, [np.nan])
             if sample_times:
                 np.testing.assert_array_equal(ens.samples[0], [[1.0, 0.0, 0.0], [np.nan] * 3])
         assert generator_calls == []
@@ -194,16 +226,23 @@ class TestSimulate:
         np.testing.assert_array_equal(big.samples[:2], small.samples)
 
     def test_holding_time_law_single_particle(self):
-        # With one particle at site j every clock dies except those out
-        # of j, so the first waiting time is Exp(g_j(1) * lambda(j)).
+        # One particle on K3 jumps along each edge at rate lambda = g(1),
+        # so at time t it is at its start with probability
+        # 1/3 + (2/3) exp(-3 lambda t).  (N = 1 is condensed at once, so
+        # the path runs on to the horizon.)  At 50,000 paths, rates 5 %
+        # off move the fraction at t = 0.3 by about 5.5 standard errors.
         chain = k3()
-        config = ZrpConfig(chain=chain, n_particles=1, b=1.5, seed=11, horizon=1e-9)
-        ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths=100_000)
-        g1 = _g_table(chain, 1.5, "default", 0.0, 1)[0, 1]
-        rate = g1 * chain.holding[0]
-        mean = ens.first_event.mean()
-        se = ens.first_event.std(ddof=1) / np.sqrt(ens.n_paths)
-        assert abs(mean - 1.0 / rate) <= 3 * se
+        times = (0.1, 0.3, 0.6, 1.0)
+        config = ZrpConfig(
+            chain=chain, n_particles=1, b=1.5, seed=11, horizon=1.0, sample_times=times
+        )
+        ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths=50_000)
+        lam = _g_table(chain, 1.5, "default", 0.0, 1)[0, 1]
+        assert lam == pytest.approx(5 / 6)
+        p = 1 / 3 + 2 / 3 * np.exp(-3 * lam * np.array(times))
+        at_start = (ens.samples[:, :, 0] == 1.0).mean(axis=0)
+        z = (at_start - p) / np.sqrt(p * (1 - p) / ens.n_paths)
+        assert np.all(np.abs(z) <= 4.0), z
 
     def test_two_site_symmetric_winner_fairness(self, two_site):
         config = ZrpConfig(chain=two_site, n_particles=100, b=2.0, seed=13, delta=0.05)
@@ -245,9 +284,18 @@ def test_sample_at_a_jump_time_shows_the_jump():
     # right-continuous: a sample just before its first jump is the start,
     # a sample at the jump is the state after it, unless the horizon ends
     # the path there; then the start is held up to and at the horizon.
+    # The first jump time of path 0 comes from its own stream and the
+    # start's rates, in the engine's order: the rates summed edge by edge,
+    # the wait -log1p(-u) over their total.
     eta0 = np.array([11, 11, 10])
-    probe = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=3, horizon=0.01)
-    jump = simulate_zrp_ensemble(probe, eta0, 1).first_event[0]
+    chain = k3()
+    g = _g_table(chain, 1.5, "default", 0.0, 32)
+    total = 0.0
+    for j, k in zip(*np.nonzero(chain.rates)):
+        total += g[j, eta0[j]] * chain.rates[j, k]
+    u0 = path_generator(derive_seed(3, "zrp"), 0).random()
+    jump = (0.0 - np.log1p(-u0) / total) / 32**2
+    assert 0.0 < jump < 0.01
     grid = (np.nextafter(jump, 0.0), jump)
     later = ZrpConfig(chain=k3(), n_particles=32, b=1.5, seed=3, horizon=0.01, sample_times=grid)
     before, at = simulate_zrp_ensemble(later, eta0, 1).samples[0]
@@ -278,8 +326,7 @@ def test_sample_grid_changes_nothing_but_the_samples(seed, size, n, to_horizon):
     eta0 = rng.multinomial(n, np.full(size, 1.0 / size))
     plain = simulate_zrp_ensemble(ZrpConfig(**params), eta0, 4)
     ens = simulate_zrp_ensemble(ZrpConfig(**params, sample_times=tuple(grid)), eta0, 4)
-    for a, b in ((ens.t_cond, plain.t_cond), (ens.winner, plain.winner),
-                 (ens.first_event, plain.first_event)):
+    for a, b in ((ens.t_cond, plain.t_cond), (ens.winner, plain.winner)):
         np.testing.assert_array_equal(a, b)
     filled = ~np.isnan(ens.samples).any(axis=2)
     if to_horizon:
@@ -318,26 +365,27 @@ def _pinned_cases():
 
 def _digest(ens) -> str:
     h = hashlib.sha256()
-    for a in (ens.t_cond, ens.winner, ens.first_event, ens.samples):
+    for a in (ens.t_cond, ens.winner, ens.samples):
         h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
-# Taken before the site-major rewrite of the lockstep loop (the last two
-# before the row-wise scan and the byte-wide edge count); a change that
-# alters a stream on purpose updates them and says so in CHANGES.md.
+# Taken on the code just before ``first_event`` left the ensemble, with
+# this digest of t_cond, winner and samples: passing here shows those
+# arrays kept every bit across that change.  A change that alters a
+# stream on purpose updates them and says so in CHANGES.md.
 PINNED = {
-    "k3-condense": "b75ec7d90328c7d886cb1dd096a6477d9fd1863459174fccd867540740e801f3",
-    "asym3-corrected": "d9783676feca704562c1ce63a2dde46927d3a29e306847a3fcd1177c89e935fd",
-    "ring8-horizon": "0527b14b2e6447ff2e461041c85164ed5fea926d990d6c4acfb168325b7c009d",
-    "condensed-start": "2751d080500a55a0821681f88f1e04bf6dcc54c4b0dbe936b4e05d9eee89c75c",
-    "complete17-horizon": "5c6c888335b37881ba266030908344b23b77b9199ea7607d77402082a43bf093",
-    "k3-scan-switch": "8fd5c47ca291ad8af50a9d61ed2ec19c992766092e96d8f5d2fd53795b784a38",
+    "k3-condense": "248acadb8f18258c0311a0e35e881c4480a7237c5da251ebc9e6ec11784621b2",
+    "asym3-corrected": "0c02ab9ec9e64099922f1820bbc18da270d818cada430bb5aad3f89ca5047c76",
+    "ring8-horizon": "a33701219d43bc6781b1a2861eae2e26c75e41cb7de2201d1ba0f3a17937acb1",
+    "condensed-start": "58757ae04246d19b52256c6140c895f6598e73d7f1091396b9a575649f48b939",
+    "complete17-horizon": "8dd5e89f173e8b80c0b93795c8ecfda858efb0e1ea3b680be668414690988e71",
+    "k3-scan-switch": "36b7b2748c3deae931ff72e3aef109a1d01812bbd4630b3f1851a2a3131dcabb",
 }
 
 
 def test_engine_outputs_pinned():
-    # SHA-256 of t_cond, winner, first_event and samples: every stream,
+    # SHA-256 of t_cond, winner and samples: every stream,
     # the event selection, the condensation record and the sampling.
     got = {
         name: _digest(simulate_zrp_ensemble(config, eta0, paths))
@@ -384,8 +432,7 @@ def test_horizon_runs_are_consistent(seed, size, n, family, n_paths):
     k = n_paths // 2
     part = simulate_zrp_ensemble(config, eta0, k)
     for full, sub in (
-        (ens.t_cond, part.t_cond), (ens.winner, part.winner),
-        (ens.first_event, part.first_event), (ens.samples, part.samples),
+        (ens.t_cond, part.t_cond), (ens.winner, part.winner), (ens.samples, part.samples),
     ):
         np.testing.assert_array_equal(full[:k], sub)
 
@@ -413,7 +460,7 @@ def test_a_stopped_path_is_sampled_at_its_record():
 @pytest.mark.parametrize("n_paths", [3, 40])
 def test_frozen_configuration_never_jumps(n_paths):
     # With b = -1, g(1) = 0: one particle never leaves, every rate is
-    # zero and the first event never comes.  3 paths run only in the
+    # zero and no event ever comes.  3 paths run only in the
     # plain-Python finisher, 40 start in the lockstep; neither warns.
     assert 3 * 6 <= FINISH_EDGES < 40 * 6
     with pytest.warns(UserWarning, match="b <= 1"):
@@ -424,7 +471,6 @@ def test_frozen_configuration_never_jumps(n_paths):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths)
-    np.testing.assert_array_equal(ens.first_event, np.inf)
     # The start is condensed; the path holds it to the horizon.
     np.testing.assert_array_equal(ens.t_cond, 0.0)
     np.testing.assert_array_equal(ens.winner, 0)
@@ -489,7 +535,6 @@ def test_finisher_matches_the_lockstep(seed, size, n, family, to_horizon, small)
     part = simulate_zrp_ensemble(config, eta0, small)
     whole = simulate_zrp_ensemble(config, eta0, 4 * crossover + 1)
     for a, b in (
-        (part.t_cond, whole.t_cond), (part.winner, whole.winner),
-        (part.first_event, whole.first_event), (part.samples, whole.samples),
+        (part.t_cond, whole.t_cond), (part.winner, whole.winner), (part.samples, whole.samples),
     ):
         assert np.array_equal(a, b[:small], equal_nan=True)

@@ -4,10 +4,12 @@ psi4-check.
 Every run reads one YAML config, writes CSV tables plus a JSON
 manifest ``run_manifest_<subcommand>.json`` into the output directory,
 and exits with 0 (success), 1 (an assertion-class check failed),
-2 (config error) or 3 (runtime error).  The environment variable
-CONDENSIM_SEED overrides the config seed; the override is recorded in
-the manifest.  Sites are reported 1-based and subsets as bitmasks
-(bit j-1 <-> site j).
+2 (config error) or 3 (runtime error).  The chain is built once, and
+each subcommand checks every engine config and start it needs (one
+per N of ``model.N``) before its first ensemble, so a config error
+writes no CSV.  The environment variable CONDENSIM_SEED overrides the
+config seed; the override is recorded in the manifest.  Sites are
+reported 1-based and subsets as bitmasks (bit j-1 <-> site j).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +32,7 @@ from .chain import (
     trace_rates,
 )
 from .config import RunConfig, __version__, check_seed, config_hash, parse_config
-from .diffusion import (
-    DiffusionConfig,
-    DiffusionEnsemble,
-    simplex_point,
-    simulate_diffusion_ensemble,
-)
+from .diffusion import DiffusionConfig, simplex_point, simulate_diffusion_ensemble
 from .errors import (
     BadInitialError,
     CondensimError,
@@ -52,7 +49,7 @@ from .experiments import (
     winner_distribution,
 )
 from .reporting import ManifestTimer, fmt, write_csv
-from .zrp import ZrpConfig, ZrpEnsemble, simulate_zrp_ensemble
+from .zrp import ZrpConfig, initial_counts, simulate_zrp_ensemble
 
 SIGN_TOL = 1e-12
 
@@ -76,78 +73,64 @@ def _seed(config: RunConfig) -> tuple[int, str]:
 
 
 def _diffusion(
-    config: RunConfig, chain: ChainSpec, seed: int, sampled: bool
-) -> DiffusionEnsemble:
-    """Diffusion paths from ``_start``, on the sample grid only when ``sampled``."""
+    config: RunConfig, chain: ChainSpec, seed: int, sampled: bool, absorbing: bool = False
+) -> tuple[DiffusionConfig, np.ndarray]:
+    """The checked diffusion config, on the sample grid only when
+    ``sampled``, and start: the configured ``x0`` (the barycenter by
+    default) on the simplex of ``chain``, and not a vertex when
+    ``absorbing``."""
     exp = config.experiment
     dc = DiffusionConfig(
-        chain=chain,
-        b=config.model.b,
-        seed=seed,
-        **asdict(config.diffusion),
-        sample_times=tuple(exp.sample_times),
-        cond_delta=exp.delta,
-        allow_small_b=config.model.allow_small_b,
+        chain=chain, b=config.model.b, seed=seed, **asdict(config.diffusion),
+        sample_times=tuple(exp.sample_times) if sampled else (),
+        cond_delta=exp.delta, allow_small_b=config.model.allow_small_b,
     )
-    if not sampled:
-        dc = replace(dc, sample_times=())
-    return simulate_diffusion_ensemble(dc, _start(config, chain), exp.paths)
-
-
-def _start(config: RunConfig, chain: ChainSpec, absorbing: bool = False):
-    """The configured start (the barycenter by default), checked to lie
-    on the simplex of ``chain``, and not on a vertex when ``absorbing``."""
-    x0 = config.experiment.x0
-    x0 = np.full(chain.size, 1.0 / chain.size) if x0 is None else x0
+    x0 = np.full(chain.size, 1.0 / chain.size) if exp.x0 is None else np.asarray(exp.x0)
     try:
         point = simplex_point(x0, chain.size)
     except NonSimplexStartError as exc:
         raise ConfigSchemaError("experiment.x0", str(exc)) from exc
     if absorbing and np.count_nonzero(point) == 1:
         raise ConfigSchemaError("experiment.x0", "a vertex is never absorbed; only diff-run runs it")
-    return x0
+    return dc, x0
 
 
 def _zrp(
-    config: RunConfig, chain: ChainSpec, n: int, seed: int, sampled: bool
-) -> ZrpEnsemble:
-    """ZRP paths of ``n`` particles from the configured start (balanced
-    by default), on the sample grid only when ``sampled``."""
+    config: RunConfig, chain: ChainSpec, seed: int, sampled: bool
+) -> list[tuple[ZrpConfig, np.ndarray]]:
+    """The checked ZRP config, on the sample grid only when ``sampled``,
+    and start counts (balanced by default) for each N of ``model.N``."""
     exp, model = config.experiment, config.model
-    zc = ZrpConfig(
-        chain=chain,
-        n_particles=n,
-        b=model.b,
-        seed=seed,
-        g_family=model.g_family,
-        g_correction=model.g_correction,
-        sample_times=tuple(exp.sample_times),
-        horizon=exp.horizon,
-        delta=exp.delta,
-    )
-    if not sampled:
-        zc = replace(zc, sample_times=())
-    eta0 = default_eta0(chain.size, n) if exp.eta0 is None else exp.eta0
+    runs = []
+    for n in model.N:
+        zc = ZrpConfig(
+            chain=chain, n_particles=n, b=model.b, seed=seed,
+            g_family=model.g_family, g_correction=model.g_correction,
+            sample_times=tuple(exp.sample_times) if sampled else (),
+            horizon=exp.horizon, delta=exp.delta,
+        )
+        eta0 = default_eta0(chain.size, n) if exp.eta0 is None else exp.eta0
+        try:
+            runs.append((zc, initial_counts(zc, eta0)))
+        except BadInitialError as exc:
+            raise ConfigSchemaError("experiment.eta0", str(exc)) from exc
+    return runs
+
+
+def _sign_check(config: RunConfig, chain: ChainSpec) -> SuperharmonicReport:
+    """The sign certificate on the configured subset, or on the first
+    L-1 sites when it is the full set, since the check needs a nonempty
+    complement."""
+    subset = config.subset_indices(chain.size)
+    if len(subset) == chain.size:
+        subset = tuple(range(chain.size - 1))
+    exp = config.experiment
     try:
-        return simulate_zrp_ensemble(zc, eta0, exp.paths)
-    except BadInitialError as exc:
-        raise ConfigSchemaError("experiment.eta0", str(exc)) from exc
-
-
-def _sign_subset(config: RunConfig, size: int) -> tuple[int, ...]:
-    """Configured subset for the sign check; the first L-1 sites when it
-    is the full set, since the check needs a nonempty complement."""
-    subset = config.subset_indices(size)
-    return subset if len(subset) < size else tuple(range(size - 1))
-
-
-def _sign_check(
-    config: RunConfig, chain: ChainSpec, subset: tuple[int, ...]
-) -> SuperharmonicReport:
-    return superharmonic_sign_check(
-        chain, subset, config.model.b, config.effective_p(),
-        config.experiment.eps, config.experiment.grid,
-    )
+        return superharmonic_sign_check(
+            chain, subset, config.model.b, config.effective_p(), exp.eps, exp.grid
+        )
+    except ConfigRangeError as exc:  # the grid cap
+        raise ConfigSchemaError("experiment.grid", str(exc)) from exc
 
 
 def _site_cols(size: int) -> list[str]:
@@ -164,8 +147,9 @@ def _sample_rows(ens, masks=None) -> list[tuple]:
     return rows
 
 
-def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    chain = config.build_chain()
+def cmd_chain_info(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
     size = chain.size
     rows: list[tuple] = [("m", j + 1, "", chain.m[j]) for j in range(size)]
     a_s = dirichlet_matrix(chain)
@@ -188,10 +172,12 @@ def cmd_chain_info(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> 
     return 0
 
 
-def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    chain = config.build_chain()
-    for n in config.model.N:
-        ens = _zrp(config, chain, n, manifest.seed, sampled=True)
+def cmd_zrp_run(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
+    for zc, eta0 in _zrp(config, chain, manifest.seed, sampled=True):
+        n = zc.n_particles
+        ens = simulate_zrp_ensemble(zc, eta0, config.experiment.paths)
         if ens.samples is not None:
             write_csv(
                 outdir / f"zrp_samples_N{n}.csv",
@@ -211,9 +197,12 @@ def cmd_zrp_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
     return 0
 
 
-def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    chain = config.build_chain()
-    ens = _diffusion(config, chain, manifest.seed, sampled=True)
+def cmd_diff_run(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
+    ens = simulate_diffusion_ensemble(
+        *_diffusion(config, chain, manifest.seed, sampled=True), config.experiment.paths
+    )
     if ens.samples is not None:
         write_csv(
             outdir / "diff_samples.csv",
@@ -240,14 +229,18 @@ def cmd_diff_run(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> in
     return 0
 
 
-def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    chain = config.build_chain()
-    _start(config, chain, absorbing=True)
-    dens = _diffusion(config, chain, manifest.seed, sampled=False)
+def cmd_compare(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
+    dc, x0 = _diffusion(config, chain, manifest.seed, sampled=False, absorbing=True)
+    runs = _zrp(config, chain, manifest.seed, sampled=False)
+    paths = config.experiment.paths
+    dens = simulate_diffusion_ensemble(dc, x0, paths)
     hist_d = winner_distribution(dens.trapped_vertex, chain.size, chain_id=chain.fingerprint())
     rows = []
-    for n in config.model.N:
-        zens = _zrp(config, chain, n, manifest.seed, sampled=False)
+    for zc, eta0 in runs:
+        n = zc.n_particles
+        zens = simulate_zrp_ensemble(zc, eta0, paths)
         hist_z = winner_distribution(zens.winner, chain.size, chain_id=chain.fingerprint())
         cmp = compare_winner(hist_z, hist_d)
         ks_cond = ks_distance(zens.t_cond, dens.t_cond)
@@ -270,19 +263,18 @@ def cmd_compare(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int
     return 0
 
 
-def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
+def cmd_verify(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
     """Each check is a row (name, detail, value, threshold); it passes
     when value <= threshold, so a NaN value fails."""
-    chain = config.build_chain()
-    _start(config, chain, absorbing=True)
+    dc, x0 = _diffusion(config, chain, manifest.seed, sampled=False, absorbing=True)
     checks = chain_identity_residuals(chain)
-    subset = _sign_subset(config, chain.size)
-    if len(subset) >= 2:
-        psi = _sign_check(config, chain, subset)
-        checks.append(("superharmonic_sign", f"B mask {mask_of(psi.B)}", psi.max_value, SIGN_TOL))
-    dens = _diffusion(config, chain, manifest.seed, sampled=False)
+    psi = _sign_check(config, chain)
+    checks.append(("superharmonic_sign", f"B mask {mask_of(psi.B)}", psi.max_value, SIGN_TOL))
+    dens = simulate_diffusion_ensemble(dc, x0, config.experiment.paths)
     hit = hitting_bound_check(
-        chain, np.nonzero(dens.x0 > 0)[0], config.model.b, config.effective_q(), dens.sigma1
+        chain, np.nonzero(x0 > 0)[0], config.model.b, config.effective_q(), dens.sigma1
     )
     checks.append((
         "hitting_bound",
@@ -305,9 +297,10 @@ def cmd_verify(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
     return 0 if manifest.all_passed else 1
 
 
-def cmd_psi4_check(config: RunConfig, outdir: Path, manifest: ManifestTimer) -> int:
-    chain = config.build_chain()
-    psi = _sign_check(config, chain, _sign_subset(config, chain.size))
+def cmd_psi4_check(
+    config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
+) -> int:
+    psi = _sign_check(config, chain)
     passed = manifest.record(
         "superharmonic_sign", psi.max_value <= SIGN_TOL, psi.max_value, SIGN_TOL,
         f"B mask {mask_of(psi.B)}",
@@ -366,7 +359,7 @@ def main(argv=None) -> int:
 
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        code = COMMANDS[args.subcommand](config, outdir, manifest)
+        code = COMMANDS[args.subcommand](config, config.build_chain(), outdir, manifest)
     except (ConfigSchemaError, ConfigRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -113,12 +113,14 @@ class RunConfig:
     def subset_indices(self, size: int) -> tuple[int, ...]:
         """Configured subset as 0-based indices; all sites when absent.
 
-        Raises ConfigRangeError for a site outside 1..size or a repeated
-        site.
+        Raises ConfigRangeError for an empty list, a site outside 1..size
+        or a repeated site.
         """
         if self.experiment.subset is None:
             return tuple(range(size))
         sites = tuple(s - 1 for s in self.experiment.subset)
+        if not sites:
+            raise ConfigRangeError("experiment.subset: [] is empty; null means all sites")
         for s in sites:
             if not 0 <= s < size:
                 raise ConfigRangeError(f"experiment.subset: site {s + 1} is outside 1..{size}")
@@ -248,6 +250,8 @@ def _validate_ranges(config: RunConfig) -> None:
         raise ConfigRangeError("experiment.paths must be positive")
     if exp.grid < 2:
         raise ConfigRangeError("experiment.grid must be at least 2")
+    if not exp.eps > 0:
+        raise ConfigRangeError(f"experiment.eps = {exp.eps} must be positive")
     check_seed("experiment.seed", exp.seed)
     q, p, b = config.effective_q(), config.effective_p(), model.b
     if model.b > 1.0:

@@ -239,10 +239,9 @@ def em_step(
 
 @dataclass
 class DiffusionEnsemble:
-    """Results of a batch of absorbed-diffusion paths."""
+    """Results of a batch of absorbed-diffusion paths; the
+    config and the start are the caller's and are not echoed here."""
 
-    config: DiffusionConfig
-    x0: np.ndarray
     n_paths: int
     times: np.ndarray
     samples: np.ndarray | None  # (n_paths, T, L)
@@ -364,7 +363,7 @@ def simulate_diffusion_ensemble(
                 events[pid].append((t_hit, mask))
 
     return DiffusionEnsemble(
-        config, x0, n_paths, np.asarray(config.sample_times), samples, sample_masks,
+        n_paths, np.asarray(config.sample_times), samples, sample_masks,
         sigma1, trapped_vertex, trapped_time, t_cond, events,
     )
 

@@ -41,6 +41,12 @@ from .zrp import ZrpConfig, zrp_generator_apply
 # 0.21 s against 0.27 s in one call, with peaks of 8 MB instead of 34 MB.
 GENERATOR_BLOCK_POINTS = 32_768
 
+# Points the sign certificate's grid may hold: its bound resolution^(L-1)
+# is checked before any point is built.  A point costs 200-260 bytes of
+# peak memory and 3-5 us (K3 to the six-site complete graph, 2-vCPU x86
+# host), so the cap is about 65 MB and 1 s; K3 passes up to resolution 512.
+GRID_POINTS = 1 << 18
+
 
 def _mean_stderr(values) -> tuple[float, float, int]:
     """Sample mean, its standard error (NaN below two values) and the count."""
@@ -245,6 +251,13 @@ def superharmonic_region_grid(
     aset = subset_complement(chain.size, bset)
     if not aset:
         raise EmptyRegionError("B must be a proper subset")
+    # resolution^|A| complement points, each with resolution^(|B|-1) on B.
+    bound = int(resolution) ** (chain.size - 1)
+    if bound > GRID_POINTS:
+        raise ConfigRangeError(
+            f"resolution = {resolution} on {chain.size} sites allows {bound} grid points, "
+            f"above the cap of {GRID_POINTS}"
+        )
     a_axis = a0 * eps * np.arange(1, resolution + 1) / resolution
     points = []
     n_b = len(bset)

@@ -131,10 +131,9 @@ class ZrpConfig:
 
 @dataclass
 class ZrpEnsemble:
-    """Results of a batch of zero-range paths from a common start."""
+    """Results of a batch of zero-range paths from a common start; the
+    config and the start are the caller's and are not echoed here."""
 
-    config: ZrpConfig
-    eta0: np.ndarray
     n_paths: int
     times: np.ndarray  # shared macroscopic sample grid (may be empty)
     samples: np.ndarray | None  # (n_paths, T, L) occupation fractions
@@ -197,6 +196,19 @@ def zrp_generator_apply(config: ZrpConfig, h, x: np.ndarray):
     return vals[inverse].reshape(x.shape[:-1])
 
 
+def initial_counts(config: ZrpConfig, eta0) -> np.ndarray:
+    """``eta0`` as int64 counts; BadInitialError unless they are N on L sites."""
+    size, n = config.chain.size, config.n_particles
+    counts = np.asarray(eta0, dtype=float)
+    # NaN fails each test.  Counts of sum n are at most n: exact as doubles.
+    whole = np.all(counts >= 0) and np.all(counts == np.floor(counts))
+    if counts.shape != (size,) or not whole or counts.sum() != n:
+        raise BadInitialError(
+            f"initial configuration must hold exactly {n} particles on {size} sites"
+        )
+    return counts.astype(np.int64)
+
+
 def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     """Simulate ``n_paths`` independent paths started from ``eta0``.
 
@@ -206,14 +218,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     chain = config.chain
     size = chain.size
     n = config.n_particles
-    counts = np.asarray(eta0, dtype=float)
-    # NaN fails each test.  Counts of sum n are at most n: exact as doubles.
-    whole = np.all(counts >= 0) and np.all(counts == np.floor(counts))
-    if counts.shape != (size,) or not whole or counts.sum() != n:
-        raise BadInitialError(
-            f"initial configuration must hold exactly {n} particles on {size} sites"
-        )
-    eta0 = counts.astype(np.int64)
+    eta0 = initial_counts(config, eta0)
     scale = float(n) * n  # micro time per macro unit
     live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times, scale)
 
@@ -321,9 +326,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     if live.ids.size:
         _finish(live, eta, streams, edge_rate, src, dst, n, cond_level,
                 config.horizon is None, (t_cond, winner, samples))
-    return ZrpEnsemble(
-        config, eta0, n_paths, np.asarray(config.sample_times), samples, t_cond, winner
-    )
+    return ZrpEnsemble(n_paths, np.asarray(config.sample_times), samples, t_cond, winner)
 
 
 def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_record, out):

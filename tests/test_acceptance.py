@@ -132,7 +132,7 @@ def test_criterion_4_hitting_time_bound(diff_k3):
     failures = []
     margins = []
     for chain, b in ((k3(), 1.5), (k3(), 2.0), (asym3(), 1.5), (asym3(), 2.0)):
-        if b == 1.5 and chain == diff_k3.config.chain:
+        if b == 1.5 and chain == k3():
             ens = diff_k3
         else:
             config = DiffusionConfig(chain=chain, b=b, seed=SEED + 1)

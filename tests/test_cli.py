@@ -231,10 +231,10 @@ class TestVerify:
             "nan-eta0": ("zrp-run", base.replace("delta: 0.05", exp + "eta0: [4, 4, .nan]")),
             "fractional-subset": ("chain-info", base.replace("subset: [1, 2]", "subset: [1.5, 2]")),
         }
-        # A repeated or out-of-range site is a config error for every
-        # subcommand that reads the subset.
-        for bad in ("[1, 1]", "[0, 2]", "[2, 9]"):
-            for sub in ("chain-info", "psi4-check"):
+        # An empty list, a repeated or an out-of-range site is a config
+        # error for every subcommand that reads the subset.
+        for bad in ("[]", "[1, 1]", "[0, 2]", "[2, 9]"):
+            for sub in ("chain-info", "psi4-check", "verify"):
                 cases[f"subset-{bad}-{sub}"] = (sub, base.replace("subset: [1, 2]", f"subset: {bad}"))
         for name, (sub, doc) in cases.items():
             cfg = tmp_path / f"{name}.yaml"
@@ -276,6 +276,13 @@ class TestVerify:
             "light-eta0": ("experiment.eta0", ("zrp-run", "compare"), base.replace(
                 "delta: 0.05", exp + "eta0: [10, 10, 10]"
             ).replace("N: [20]", "N: [100]")),
+            # The sign certificate's region needs eps > 0.
+            "zero-eps": ("experiment.eps", parse + ("psi4-check",), base.replace(
+                "delta: 0.05", exp + "eps: 0.0"
+            )),
+            "negative-eps": ("experiment.eps", parse + ("verify",), base.replace(
+                "delta: 0.05", exp + "eps: -0.3"
+            )),
         }
         capsys.readouterr()
         for name, (key, subs, doc) in typed.items():
@@ -317,6 +324,46 @@ class TestVerify:
                 err = capsys.readouterr().err
                 assert f"config error: experiment.x0: {reason}" in err, (x0, sub)
                 assert "vertex" not in err, (x0, sub)
+
+    def test_one_site_subset_keeps_sign_row(self, tmp_path):
+        # verify runs the sign certificate that psi4-check runs, on a
+        # one-site B as well.
+        cfg, out = write_config(tmp_path, paths=20)
+        cfg.write_text(cfg.read_text().replace("subset: [1, 2]", "subset: [1]"))
+        assert main(["psi4-check", str(cfg)]) == 0
+        header, rows = read_rows(out / "psi4_report.csv")
+        psi4 = dict(zip(header, rows[0]))
+        main(["verify", str(cfg)])
+        _, rows = read_rows(out / "verify_report.csv")
+        sign = {r[0]: r for r in rows}["superharmonic_sign"]
+        assert sign[1] == "B mask 1"
+        assert sign[2] == psi4["max_value"]
+        assert sign[-1] == "true"
+
+
+@pytest.mark.parametrize(
+    "n_list, eta0, key",
+    [("20, 1000000000", None, "n_particles"), ("30, 20", "[10, 10, 10]", "experiment.eta0")],
+)
+def test_bad_later_n_runs_no_ensemble(tmp_path, capsys, monkeypatch, n_list, eta0, key):
+    # Every engine config and start, one per N, is checked before the
+    # first ensemble, so a bad later N writes no CSV.
+    import condensim.cli as cli
+
+    cfg, out = write_config(tmp_path, paths=5, n_list=n_list)
+    if eta0 is not None:
+        cfg.write_text(cfg.read_text().replace("delta: 0.05", f"delta: 0.05\n  eta0: {eta0}"))
+    runs = []
+    for name in ("simulate_zrp_ensemble", "simulate_diffusion_ensemble"):
+        simulate = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, simulate=simulate: runs.append(a) or simulate(*a))
+    capsys.readouterr()
+    for sub in ("zrp-run", "compare"):
+        assert main([sub, str(cfg)]) == 2, sub
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {key}"), (sub, line)
+    assert runs == []
+    assert list(out.glob("*")) == []
 
 
 class TestExitCodes:
@@ -448,6 +495,38 @@ def test_huge_particle_count_exits_two(tmp_path):
     done = run_python(script, timeout=60)
     assert done.stdout.splitlines()[-1] == "exit 2", done.stderr
     assert "n_particles" in done.stderr
+
+
+def test_grid_cap_exits_two(tmp_path):
+    # The sign certificate's grid holds up to grid^(L-1) points; above
+    # experiment.grid's cap it is rejected before any point is built.
+    # The child's address space and time are capped, so a grid built
+    # before the check fails with a MemoryError or a timeout instead of
+    # taking the host's memory.
+    cfg, _ = write_config(tmp_path, paths=5)
+    doc = cfg.read_text().replace("subset: [1, 2]", "subset: [1, 2]\n  grid: 100000")
+    k3_grid = tmp_path / "k3-grid.yaml"
+    k3_grid.write_text(doc)
+    complete6 = [[0.0 if i == j else 1.0 for j in range(6)] for i in range(6)]
+    doc = cfg.read_text().replace(
+        "[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]", str(complete6)
+    )
+    k6_eps = tmp_path / "k6-eps.yaml"
+    k6_eps.write_text(doc.replace("subset: [1, 2]", "subset: [1, 2, 3]\n  eps: 0.1"))
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from condensim.cli import main\n"
+        f"for cfg in ({str(k3_grid)!r}, {str(k6_eps)!r}):\n"
+        "    for sub in ('psi4-check', 'verify'):\n"
+        "        print('exit', main([sub, cfg]))\n"
+    )
+    done = run_python(script, timeout=60)
+    assert done.stdout.splitlines() == ["exit 2"] * 4, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 4 and all(
+        line.startswith("config error: experiment.grid") for line in lines
+    ), done.stderr
 
 
 def test_cold_start_loads_no_heavy_scipy(tmp_path):

@@ -1,4 +1,6 @@
-from dataclasses import asdict, fields
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -179,3 +181,24 @@ class TestRoundTrip:
         other = parse_config(MINIMAL.replace("seed: 42", "seed: 43"))
         assert config_hash(cfg) != config_hash(other)
 
+
+
+def test_readme_schema_shows_the_defaults():
+    # The YAML block under "### Config schema" in README.md lists every
+    # key with its default: it parses, and apart from the two required
+    # fields each block equals its dataclass defaults.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    cfg = parse_config(block)
+    rates = cfg.chain.rates
+    assert cfg.chain == ChainBlock(rates=rates)
+    assert cfg.model == ModelBlock()
+    assert cfg.diffusion == DiffusionBlock()
+    assert replace(cfg.experiment, seed=0) == ExperimentBlock(seed=0)
+    assert cfg.output == OutputBlock()
+    # ... and it lists every key.
+    listed = {name: set(keys) for name, keys in yaml.safe_load(block).items()}
+    assert listed == {
+        slot.name: {f.name for f in fields(getattr(cfg, slot.name))} for slot in fields(RunConfig)
+    }

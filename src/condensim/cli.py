@@ -155,18 +155,18 @@ def cmd_chain_info(
     a_s = dirichlet_matrix(chain)
     rows += [("a_s", i + 1, j + 1, a_s[i, j]) for i in range(size) for j in range(size)]
     subset = config.subset_indices(size)
-    if len(subset) >= 2:
-        basis = harmonic_extensions(chain, subset)
-        for ki, k in enumerate(subset):
-            rows += [("u", j + 1, k + 1, basis[j, ki]) for j in range(size)]
+    basis = harmonic_extensions(chain, subset)
+    for ki, k in enumerate(subset):
+        rows += [("u", j + 1, k + 1, basis[j, ki]) for j in range(size)]
+    if len(subset) >= 2:  # a trace chain needs two sites
         trace = trace_rates(chain, subset)
         for ji, j in enumerate(subset):
             rows += [("r_B", j + 1, k + 1, trace.rates[ji, ki]) for ki, k in enumerate(subset)]
-        for ki, k in enumerate(subset):
-            rows += [("upsilon", k + 1, j + 1, basis[j, ki]) for j in range(size)]
-        if len(subset) < size:
-            p = config.effective_p()
-            rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))
+    for ki, k in enumerate(subset):
+        rows += [("upsilon", k + 1, j + 1, basis[j, ki]) for j in range(size)]
+    if len(subset) < size:
+        p = config.effective_p()
+        rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))
     path = write_csv(outdir / "chain_info.csv", ["quantity", "i", "j", "value"], rows)
     sys.stdout.write(path.read_text())
     return 0

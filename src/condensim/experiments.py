@@ -42,9 +42,11 @@ from .zrp import ZrpConfig, zrp_generator_apply
 GENERATOR_BLOCK_POINTS = 32_768
 
 # Points the sign certificate's grid may hold: its bound resolution^(L-1)
-# is checked before any point is built.  A point costs 200-260 bytes of
-# peak memory and 3-5 us (K3 to the six-site complete graph, 2-vCPU x86
-# host), so the cap is about 65 MB and 1 s; K3 passes up to resolution 512.
+# is checked before any point is built.  With the grid built as arrays
+# the whole check costs 100-190 bytes of peak memory and 0.1-0.2 us a
+# point (K3 to the six-site complete graph, 2-vCPU x86 host), about
+# 50 MB and 0.06 s at the cap; K3 passes up to resolution 512.  The cap
+# also holds the Taylor residual's lattice, C(N + L - 1, L - 1) points.
 GRID_POINTS = 1 << 18
 
 
@@ -259,34 +261,37 @@ def superharmonic_region_grid(
             f"above the cap of {GRID_POINTS}"
         )
     a_axis = a0 * eps * np.arange(1, resolution + 1) / resolution
-    points = []
     n_b = len(bset)
-    for xa in itertools.product(a_axis, repeat=len(aset)):
-        mass = 1.0 - sum(xa)
-        if mass < n_b * eps:
-            continue
-        for xb_free in _simplex_grid(mass, n_b, eps, resolution):
-            x = np.zeros(chain.size)
-            x[list(aset)] = xa
-            x[list(bset)] = xb_free
-            points.append(x)
-    if not points:
+    cols = [g.ravel() for g in np.meshgrid(*[a_axis] * len(aset), indexing="ij")]
+    mass = 1.0 - sum(cols)  # left to right, per point
+    keep = ~(mass < n_b * eps)
+    if not keep.any():
         raise EmptyRegionError(
             f"no grid points: eps={eps}, a0={a0}, resolution={resolution}"
         )
-    return np.asarray(points)
-
-
-def _simplex_grid(mass: float, n: int, floor: float, resolution: int):
-    """Points of the (n-1)-simplex of given total mass with every
-    coordinate at least ``floor``."""
-    if n == 1:
-        yield (mass,)
-        return
-    top = mass - (n - 1) * floor
-    for v in np.linspace(floor, top, resolution):
-        for rest in _simplex_grid(mass - v, n - 1, floor, resolution):
-            yield (v,) + rest
+    cols, rest = [c[keep] for c in cols], mass[keep]
+    # Each free B coordinate in turn runs over linspace(eps, top,
+    # resolution) of its row and leaves the rest to the coordinates
+    # after it.  This is linspace's arithmetic row by row: linspace with
+    # an array ``top`` would round every row by its zero-step formula
+    # once any row had a zero step.
+    steps = np.arange(resolution)
+    for n in range(n_b, 1, -1):
+        top = rest - (n - 1) * eps
+        delta = top - eps
+        step = delta / (resolution - 1)
+        v = steps * step[:, None]
+        tiny = step == 0  # linspace's subnormal branch
+        v[tiny] = steps / (resolution - 1) * delta[tiny, None]
+        v += eps
+        v[:, -1] = top
+        cols = [np.repeat(c, resolution) for c in cols]
+        rest = np.repeat(rest, resolution) - v.ravel()
+        cols.append(v.ravel())
+    cols.append(rest)
+    x = np.empty((rest.size, chain.size))
+    x[:, aset + bset] = np.column_stack(cols)
+    return x
 
 
 @dataclass(frozen=True)
@@ -332,33 +337,12 @@ def superharmonic_sign_check(
     )
 
 
-def _lattice_points(
-    size: int, n: int, max_points: int, seed: int
-) -> np.ndarray:
-    """Lattice of occupation fractions: exhaustive when small enough,
-    otherwise a seeded uniform-ish sample (rounded Dirichlet draws)."""
-    from math import comb
-
-    count = comb(n + size - 1, size - 1)
-    if count <= max_points:
-        pts = []
-        for combo in itertools.combinations(range(n + size - 1), size - 1):
-            prev = -1
-            parts = []
-            for c in combo:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(n + size - 2 - prev)
-            pts.append(parts)
-        return np.asarray(pts, dtype=float) / n
-    rng = np.random.default_rng(seed)
-    raw = rng.dirichlet(np.ones(size), size=max_points) * n
-    base = np.floor(raw).astype(np.int64)
-    short = n - base.sum(axis=1)
-    order = np.argsort(base - raw, axis=1)  # largest remainders first
-    for i in range(base.shape[0]):
-        base[i, order[i, : short[i]]] += 1
-    return base.astype(float) / n
+def _lattice_points(size: int, n: int) -> np.ndarray:
+    """Every point of the 1/n lattice of the simplex, in stars-and-bars
+    order: the parts between size - 1 bars among n + size - 1 slots."""
+    bars = np.array(list(itertools.combinations(range(n + size - 1), size - 1)))
+    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + size - 1))
+    return (np.diff(bars) - 1) / n
 
 
 def generator_taylor_residual(
@@ -368,26 +352,38 @@ def generator_taylor_residual(
     n_list,
     g_family: str = "default",
     g_correction: float = 0.0,
-    max_points: int = 50_000,
-    seed: int = 0,
 ) -> dict[int, float]:
     """Max Taylor residual of the particle generator against the limit.
 
-    For each N, the maximum over lattice points of
+    For each N, the maximum over all points of the 1/N lattice of
 
         | L_N H - L H - (1/2) sum_j (g_j(N x_j) - m_j) Delta_j H |,
 
     which must vanish as N grows for test functions supported in the
-    open simplex.
+    open simplex.  Every N is checked, and its lattice of
+    C(N + L - 1, L - 1) points held to ``GRID_POINTS``, before any
+    point is built.
     """
     from .zrp import _g_table
 
+    configs = [
+        ZrpConfig(chain=chain, n_particles=n, b=b, seed=0,
+                  g_family=g_family, g_correction=g_correction)
+        for n in n_list
+    ]
+    for config in configs:
+        n = config.n_particles
+        count = math.comb(n + chain.size - 1, chain.size - 1)
+        if count > GRID_POINTS:
+            raise ConfigRangeError(
+                f"N = {n} on {chain.size} sites has {count} lattice points, "
+                f"above the cap of {GRID_POINTS}"
+            )
     out = {}
     hd_idx = np.arange(chain.size)
-    for n in n_list:
-        pts = _lattice_points(chain.size, int(n), max_points, seed)
-        config = ZrpConfig(chain=chain, n_particles=int(n), b=b, seed=0,
-                           g_family=g_family, g_correction=g_correction)
+    for config in configs:
+        n = int(config.n_particles)
+        pts = _lattice_points(chain.size, n)
         ln_h = zrp_generator_apply(config, h, pts)
         l_h = generator_apply(chain, b, h, pts)
         _, hess = h.derivatives(pts)
@@ -397,11 +393,11 @@ def generator_taylor_residual(
             chain.rates[None, :, :]
             * (hdiag[:, None, :] - 2 * hess + hdiag[:, :, None])
         ).sum(axis=2)
-        table = _g_table(chain, b, g_family, g_correction, int(n))
+        table = _g_table(chain, b, g_family, g_correction, n)
         eta = np.rint(pts * n).astype(np.int64)
         g = table.T[eta, hd_idx]
         correction = 0.5 * ((g - chain.m) * delta).sum(axis=1)
-        out[int(n)] = float(np.abs(ln_h - l_h - correction).max())
+        out[n] = float(np.abs(ln_h - l_h - correction).max())
     return out
 
 

@@ -1,7 +1,9 @@
 """Shared test chains, generators of randomized irreducible chains, a
-Monte-Carlo estimate of the trace rates, and a runner for scripts in a
-fresh interpreter."""
+Monte-Carlo estimate of the trace rates, a runner for scripts in a
+fresh interpreter, and point-by-point references for the verification
+lattices."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -180,3 +182,51 @@ def trace_rate_mc(
         stderr=stderr,
         n_excursions=n_excursions,
     )
+
+
+def reference_region_grid(size: int, B, eps: float, a0: float, resolution: int):
+    """The sign certificate's grid built point by point: the array
+    builder in ``experiments.superharmonic_region_grid`` must give
+    these rows, in this order, bit for bit."""
+    bset = _normalize_subset(size, B)
+    aset = tuple(j for j in range(size) if j not in bset)
+    a_axis = a0 * eps * np.arange(1, resolution + 1) / resolution
+    points = []
+    n_b = len(bset)
+    for xa in itertools.product(a_axis, repeat=len(aset)):
+        mass = 1.0 - sum(xa)
+        if mass < n_b * eps:
+            continue
+        for xb_free in _simplex_grid(mass, n_b, eps, resolution):
+            x = np.zeros(size)
+            x[list(aset)] = xa
+            x[list(bset)] = xb_free
+            points.append(x)
+    return np.asarray(points)
+
+
+def _simplex_grid(mass: float, n: int, floor: float, resolution: int):
+    """Points of the (n-1)-simplex of given total mass with every
+    coordinate at least ``floor``."""
+    if n == 1:
+        yield (mass,)
+        return
+    top = mass - (n - 1) * floor
+    for v in np.linspace(floor, top, resolution):
+        for rest in _simplex_grid(mass - v, n - 1, floor, resolution):
+            yield (v,) + rest
+
+
+def reference_lattice_points(size: int, n: int) -> np.ndarray:
+    """The 1/n simplex lattice built point by point, in the order of
+    ``experiments._lattice_points``."""
+    pts = []
+    for combo in itertools.combinations(range(n + size - 1), size - 1):
+        prev = -1
+        parts = []
+        for c in combo:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(n + size - 2 - prev)
+        pts.append(parts)
+    return np.asarray(pts, dtype=float) / n

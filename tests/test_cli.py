@@ -89,6 +89,23 @@ class TestChainInfo:
             assert manifest["subcommand"] == sub
 
 
+    def test_one_site_subset_keeps_every_row_but_the_trace(self, tmp_path):
+        # A trace chain needs two sites; the harmonic extension, the
+        # projection and a0 do not.
+        config = Path(__file__).resolve().parents[1] / "configs" / "asym3.yaml"
+        cfg = tmp_path / "one-site.yaml"
+        cfg.write_text(config.read_text().replace("subset: [1, 2]", "subset: [2]"))
+        for sub in ("chain-info", "psi4-check"):
+            assert main([sub, str(cfg), "--out", str(tmp_path)]) == 0, sub
+        _, rows = read_rows(tmp_path / "chain_info.csv")
+        assert [r[0] for r in rows].count("u") == 3
+        assert [r[0] for r in rows].count("upsilon") == 3
+        assert "r_B" not in [r[0] for r in rows]
+        header, psi4 = read_rows(tmp_path / "psi4_report.csv")
+        a0 = [r[3] for r in rows if r[0] == "a0"]
+        assert a0 == [dict(zip(header, psi4[0]))["a0"]] == ["0.35714285714285721"]
+
+
 class TestZrpRun:
     def test_sample_and_condensation_files(self, tmp_path):
         cfg, out = write_config(
@@ -527,6 +544,20 @@ def test_grid_cap_exits_two(tmp_path):
     assert len(lines) == 4 and all(
         line.startswith("config error: experiment.grid") for line in lines
     ), done.stderr
+
+
+@pytest.mark.parametrize("grid, code", [(512, 0), (513, 2)])
+def test_grid_cap_boundary(tmp_path, capsys, grid, code):
+    # On K3 the bound grid^2 reaches the cap of 262,144 points at
+    # grid: 512 exactly.
+    cfg, out = write_config(tmp_path, paths=5)
+    cfg.write_text(cfg.read_text().replace("subset: [1, 2]", f"subset: [1, 2]\n  grid: {grid}"))
+    assert main(["psi4-check", str(cfg)]) == code
+    if code:
+        assert "config error: experiment.grid" in capsys.readouterr().err
+    else:
+        header, rows = read_rows(out / "psi4_report.csv")
+        assert dict(zip(header, rows[0]))["resolution"] == "512"
 
 
 def test_cold_start_loads_no_heavy_scipy(tmp_path):

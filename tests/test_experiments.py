@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -35,7 +35,13 @@ from condensim.experiments import (
 )
 from condensim.zrp import ZrpConfig, simulate_zrp_ensemble, zrp_generator_apply
 
-from _chains import asym3, k3, trace_rate_mc
+from _chains import (
+    asym3,
+    k3,
+    reference_lattice_points,
+    reference_region_grid,
+    trace_rate_mc,
+)
 
 
 class TestMeanStderr:
@@ -270,19 +276,53 @@ def test_out_of_range_site_is_bad_subset():
 
 class TestLatticePoints:
     def test_exhaustive_enumeration(self):
-        pts = _lattice_points(3, 10, max_points=1000, seed=0)
+        pts = _lattice_points(3, 10)
         assert pts.shape[0] == 66  # C(12, 2)
         lat = pts * 10
         np.testing.assert_allclose(lat, np.rint(lat), atol=1e-12)
         np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
         assert np.unique(lat.round().astype(int), axis=0).shape[0] == 66
 
-    def test_sampled_when_large(self):
-        pts = _lattice_points(4, 500, max_points=200, seed=1)
-        assert pts.shape == (200, 4)
-        lat = pts * 500
-        np.testing.assert_allclose(lat, np.rint(lat), atol=1e-9)
-        np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+    @settings(max_examples=60)
+    @given(size=st.integers(2, 6), n=st.integers(1, 12))
+    def test_matches_point_by_point_reference(self, size, n):
+        pts, ref = _lattice_points(size, n), reference_lattice_points(size, n)
+        assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _region_cases(draw):
+    """Chains of 2-6 sites, a proper subset B, and eps, a0 and a
+    resolution whose grid the point-by-point reference builds quickly."""
+    size = draw(st.integers(2, 6))
+    B = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+    resolution = draw(st.integers(2, max(2, int(2000 ** (1 / (size - 1))))))
+    eps = draw(st.floats(1e-3, 1.0 / len(B)))
+    a0 = draw(st.floats(1e-3, 3.0))
+    return size, tuple(B), eps, a0, resolution
+
+
+class TestRegionGrid:
+    # The zero-step cases: on K3 with B = {1, 2}, a0 * eps = 1 - 2 eps
+    # leaves mass 2 eps to B at the last complement point, so its
+    # linspace runs from eps to eps; at eps = 5e-324 every step
+    # underflows to zero and linspace takes its subnormal branch.
+    @settings(max_examples=150)
+    @given(case=_region_cases())
+    @example(case=(3, (0, 1), 0.25, 2.0, 7))
+    @example(case=(3, (0, 1), 0.125, 6.0, 2))
+    @example(case=(4, (0, 1, 2), 5e-324, 1e-300, 5))
+    @example(case=(4, (0, 1, 2), 2.2250738585072014e-308, 0.5, 10))
+    def test_matches_point_by_point_reference(self, case):
+        size, B, eps, a0, resolution = case
+        ref = reference_region_grid(size, B, eps, a0, resolution)
+        chain = validate_chain(np.ones((size, size)) - np.eye(size))
+        if not ref.size:
+            with pytest.raises(EmptyRegionError):
+                superharmonic_region_grid(chain, B, eps, a0, resolution)
+            return
+        grid = superharmonic_region_grid(chain, B, eps, a0, resolution)
+        assert grid.shape == ref.shape and grid.tobytes() == ref.tobytes()
 
 
 class TestTexp:
@@ -298,6 +338,27 @@ class TestTexp:
         res = generator_taylor_residual(k3(), 1.5, h, [20, 40, 80])
         assert res[40] < res[20]
         assert res[80] < res[40]
+
+    @pytest.mark.parametrize("n", [2.5, 0, 20.0, True])
+    def test_bad_n_is_typed(self, n):
+        h = BumpFunction(center=np.full(3, 1 / 3), width=np.full(3, 0.3))
+        with pytest.raises(ConfigRangeError):
+            generator_taylor_residual(k3(), 1.5, h, [n])
+
+    def test_lattice_cap(self, monkeypatch):
+        # C(N + 2, 2) points on K3: 66 at N = 10, 78 at N = 11.  A bad
+        # later N is found before the first lattice is built.
+        h = BumpFunction(center=np.full(3, 1 / 3), width=np.full(3, 0.3))
+        monkeypatch.setattr(experiments, "GRID_POINTS", 66)
+        assert list(generator_taylor_residual(k3(), 1.5, h, [10])) == [10]
+        built = []
+        monkeypatch.setattr(
+            experiments, "_lattice_points", lambda *args: built.append(args)
+        )
+        for later in (11, 2.5):
+            with pytest.raises(ConfigRangeError):
+                generator_taylor_residual(k3(), 1.5, h, [10, later])
+        assert built == []
 
 
 class TestMartingaleResidual:

@@ -1,7 +1,10 @@
-"""The per-path stream contract of ``condensim.rng.PathStreams`` and the
-live-set bookkeeping of ``condensim.rng.LiveSet``."""
+"""The per-path stream contract of ``condensim.rng.PathStreams``, the
+live-set bookkeeping of ``condensim.rng.LiveSet``, and the rule that
+every draw in the package comes from those per-path streams."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +184,44 @@ def test_drift_only_run_builds_no_streams(monkeypatch):
         config = DiffusionConfig(chain=k3(), b=1.5, seed=1, noise_scale=noise_scale, horizon=0.01)
         simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 5)
         assert len(built) == streams
+
+
+def _numpy_random_uses(tree: ast.AST) -> list[str]:
+    """Every use of ``numpy.random`` in a module: the attribute taken
+    from ``np.random`` (or ``numpy.random``), or "import" for an import
+    of the module or of a name from it."""
+    uses = []
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += ["import" for a in node.names if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names)
+            ):
+                uses.append("import")
+        elif (
+            isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        ):
+            parent = parents.get(node)
+            uses.append(parent.attr if isinstance(parent, ast.Attribute) else "random")
+    return uses
+
+
+def test_one_random_stream_model():
+    # Every random number in the package is drawn from a per-path Philox
+    # stream that rng.py builds; no module seeds a generator of its own.
+    src = Path(__file__).resolve().parents[1] / "src" / "condensim"
+    found = {
+        path.name: _numpy_random_uses(ast.parse(path.read_text()))
+        for path in sorted(src.glob("*.py"))
+    }
+    allowed = {"Generator", "Philox"}
+    bad = {
+        name: uses for name, uses in found.items()
+        if uses and (name != "rng.py" or not set(uses) <= allowed)
+    }
+    assert not bad, bad
+    assert set(found["rng.py"]) == allowed

@@ -42,12 +42,13 @@ from .chain import ChainSpec, dirichlet_matrix, mask_of, trace_rates
 from .errors import (
     ConfigRangeError,
     NonSimplexStartError,
+    OutputInvariantError,
     SingularSystemError,
     StepBlowupError,
     StepStallError,
     ZeroCoordinateError,
 )
-from .rng import LiveSet, PathStreams, check_window, derive_seed
+from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed
 
 # Hyperplane drift tolerance: increments sum to zero analytically, so
 # any larger deviation signals a step-size blowup.
@@ -362,10 +363,23 @@ def simulate_diffusion_ensemble(
             for pid, t_hit, mask in zip(pids.tolist(), t[cols].tolist(), masks[cols].tolist()):
                 events[pid].append((t_hit, mask))
 
-    return DiffusionEnsemble(
+    ens = DiffusionEnsemble(
         n_paths, np.asarray(config.sample_times), samples, sample_masks,
         sigma1, trapped_vertex, trapped_time, t_cond, events,
     )
+    _check_outputs(config, ens)
+    return ens
+
+
+def _check_outputs(config: DiffusionConfig, ens: DiffusionEnsemble) -> None:
+    """Raise OutputInvariantError unless every path has a trapping time
+    exactly when it has a trapped vertex, and samples and their masks up
+    to the run's end."""
+    if np.any((ens.trapped_vertex >= 0) != np.isfinite(ens.trapped_time)):
+        raise OutputInvariantError("trapped vertices and trapping times disagree")
+    end = config.t_max if config.horizon is None else config.horizon
+    never = np.zeros(ens.n_paths, dtype=bool)
+    check_samples(ens.samples, config.sample_times, end, never, ens.sample_masks)
 
 
 def drift_field(chain: ChainSpec, b: float, x: np.ndarray) -> np.ndarray:

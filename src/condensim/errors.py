@@ -68,6 +68,12 @@ class IncompletePathError(CondensimError):
     """A path did not reach its stopping rule (or the input is empty)."""
 
 
+class OutputInvariantError(CondensimError):
+    """An engine's outputs contradict each other, e.g. a NaN where a
+    finished path must have a value.  Cannot occur for a correct engine;
+    raised before the outputs are returned."""
+
+
 class MismatchedChainsError(CondensimError):
     """Two summaries being compared come from different chains."""
 

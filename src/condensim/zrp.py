@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import BadInitialError, ConfigRangeError, NotLatticeError
-from .rng import LiveSet, PathStreams, check_window, derive_seed
+from .errors import BadInitialError, ConfigRangeError, NotLatticeError, OutputInvariantError
+from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed
 
 G_FAMILIES = ("default", "corrected")
 
@@ -326,7 +326,20 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     if live.ids.size:
         _finish(live, eta, streams, edge_rate, src, dst, n, cond_level,
                 config.horizon is None, (t_cond, winner, samples))
-    return ZrpEnsemble(n_paths, np.asarray(config.sample_times), samples, t_cond, winner)
+    ens = ZrpEnsemble(n_paths, np.asarray(config.sample_times), samples, t_cond, winner)
+    _check_outputs(config, ens)
+    return ens
+
+
+def _check_outputs(config: ZrpConfig, ens: ZrpEnsemble) -> None:
+    """Raise OutputInvariantError unless every path has a condensation
+    time exactly when it has a winner, and samples up to the run's end,
+    or up to its record when it stopped there."""
+    recorded = ens.winner >= 0
+    if np.any(np.isnan(ens.t_cond) == recorded):
+        raise OutputInvariantError("condensation times and winners disagree")
+    end = config.t_max if config.horizon is None else config.horizon
+    check_samples(ens.samples, config.sample_times, end, recorded & (config.horizon is None))
 
 
 def _finish(live, eta, streams, edge_rate, src, dst, n, cond_level, stop_at_record, out):

@@ -17,6 +17,7 @@ from condensim.chain import (
 from condensim.diffusion import (
     DiffusionConfig,
     FaceTable,
+    _check_outputs,
     drift,
     drift_field,
     em_step,
@@ -26,6 +27,7 @@ from condensim.diffusion import (
 from condensim.errors import (
     ConfigRangeError,
     NonSimplexStartError,
+    OutputInvariantError,
     SingularSystemError,
     StepBlowupError,
     StepStallError,
@@ -751,3 +753,43 @@ class TestGeneratorApply:
         # Drift vanishes at the symmetric midpoint, leaving the second
         # order term 0.5 * (M_1 + M_2) * f'' with f'' = 2.
         assert val == pytest.approx(0.5 * m_sum * 2.0, abs=1e-12)
+
+
+def _corrupt_trapped_time(ens):
+    ens.trapped_time[np.flatnonzero(ens.trapped_vertex >= 0)[0]] = np.nan
+
+
+def _corrupt_untrapped_time(ens):
+    ens.trapped_time[np.flatnonzero(ens.trapped_vertex < 0)[0]] = 0.1
+
+
+def _corrupt_sample_hole(ens):
+    ens.samples[0, 1] = np.nan
+
+
+def _corrupt_sample_short(ens):
+    ens.samples[0, 20] = np.nan  # slot 20 is t = 0.2, the run's end
+
+
+def _corrupt_mask_on_empty_slot(ens):
+    ens.sample_masks[0, 21] = 7
+
+
+def _corrupt_mask_off_filled_slot(ens):
+    ens.sample_masks[0, 3] = 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_trapped_time, _corrupt_untrapped_time, _corrupt_sample_hole,
+    _corrupt_sample_short, _corrupt_mask_on_empty_slot, _corrupt_mask_off_filled_slot,
+])
+def test_output_checks_reject_corrupted_ensembles(corrupt):
+    # On K3 with t_max = 0.2, 15 of 20 paths are trapped, and every
+    # path samples the 21 grid times up to 0.2.
+    config = DiffusionConfig(chain=k3(), b=1.5, seed=3, t_max=0.2,
+                             sample_times=tuple(np.linspace(0.0, 0.3, 31)))
+    ens = simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 20)
+    assert 0 < np.count_nonzero(ens.trapped_vertex >= 0) < 20
+    corrupt(ens)
+    with pytest.raises(OutputInvariantError):
+        _check_outputs(config, ens)

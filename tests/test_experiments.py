@@ -1,6 +1,8 @@
 import hashlib
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from condensim.errors import (
 )
 from condensim.experiments import (
     WinnerHistogram,
+    _chi2_tail,
     _lattice_points,
     _mean_stderr,
     compare_winner,
@@ -100,7 +103,7 @@ class TestCompareWinner:
         size=st.integers(2, 8),
         scale=st.sampled_from([3, 30, 3000]),
     )
-    def test_pvalue_matches_scipy(self, seed, size, scale):
+    def test_pvalue_matches_mpmath(self, seed, size, scale):
         # Empty cells drop out of the dof, and dof = 0 has p-value 1.
         rng = np.random.default_rng(seed)
         c1, c2 = rng.integers(0, scale, size), rng.integers(0, scale, size)
@@ -109,8 +112,35 @@ class TestCompareWinner:
         cmp = compare_winner(
             WinnerHistogram(c1, int(c1.sum())), WinnerHistogram(c2, int(c2.sum()))
         )
-        want = stats.chi2.sf(cmp.chi2, cmp.dof) if cmp.dof > 0 else 1.0
-        assert cmp.pvalue == want
+        if cmp.dof == 0:
+            assert cmp.pvalue == 1.0
+        else:
+            assert_chi2_tail_close(cmp.pvalue, cmp.dof, cmp.chi2)
+
+    @pytest.mark.parametrize("dof", range(1, 13))
+    def test_chi2_tail_matches_mpmath(self, dof):
+        for x in np.geomspace(1e-9, 1400.0, 25):
+            assert_chi2_tail_close(_chi2_tail(dof, float(x)), dof, float(x))
+
+    @pytest.mark.parametrize("chi2", [1e-300, 1e-9, 0.5, 4.774590804254065, 37.0, 1400.0])
+    def test_chi2_tail_dof2_is_exp(self, chi2):
+        assert _chi2_tail(2, chi2) == math.exp(-chi2 / 2)
+
+    @pytest.mark.parametrize("dof", range(1, 13))
+    def test_chi2_tail_ends(self, dof):
+        assert _chi2_tail(dof, 0.0) == 1.0
+        assert _chi2_tail(dof, 1e5) == 0.0
+
+
+def assert_chi2_tail_close(got, dof, chi2):
+    """Within 2e-13 relative of the 50-digit regularized upper gamma
+    Q(dof/2, chi2/2) where it is at least 1e-290, else within 1e-300;
+    scipy's own chdtrc meets the same bound."""
+    with mpmath.workdps(50):
+        want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi2) / 2, mpmath.inf,
+                               regularized=True)
+        tol = 2e-13 * want if want >= mpmath.mpf("1e-290") else mpmath.mpf("1e-300")
+        assert abs(got - want) <= tol, (dof, chi2, got, float(want))
 
 
 class TestKs:

@@ -27,7 +27,7 @@ GOLDEN_CHAIN_ZRP = {
 # Everything that reads a diffusion path, and so the gaussian streams
 # and the per-face noise factor.
 GOLDEN_DIFFUSION = {
-    "compare_report.csv": "857bb74ba91847f7663ac1635c538acd9bf84bbb3f96a7d7d56bed025c35a263",
+    "compare_report.csv": "b2d67e41ee1efc9cd66582fb0fdcb0df330fd778fcf2632d9e66b0fec5f1f45b",
     "diff_absorption.csv": "06122e8eb3d9d47ebe36c416c71cf96b2574fad5558dba279030520746019b1b",
     "diff_samples.csv": "d9234ec5a320a729a874cd6665891ca18fba044b4fff3fff031045e272f920e8",
     "verify_report.csv": "53d8090940477df6d98fdf22e771113bf43900352da4373776f3829843dea7a3",

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 
 from condensim.chain import validate_chain
 from condensim.diffusion import DiffusionConfig
-from condensim.errors import BadInitialError, ConfigRangeError, NotLatticeError
+from condensim.errors import (
+    BadInitialError,
+    ConfigRangeError,
+    NotLatticeError,
+    OutputInvariantError,
+)
 from condensim.rng import derive_seed, path_generator
 from condensim.zrp import (
     FINISH_EDGES,
     G_FAMILIES,
     TABLE_BYTES,
     ZrpConfig,
+    _check_outputs,
     _g_table,
     simulate_zrp_ensemble,
     zrp_generator_apply,
@@ -538,3 +544,36 @@ def test_finisher_matches_the_lockstep(seed, size, n, family, to_horizon, small)
         (part.t_cond, whole.t_cond), (part.winner, whole.winner), (part.samples, whole.samples),
     ):
         assert np.array_equal(a, b[:small], equal_nan=True)
+
+
+def _corrupt_t_cond_of_recorded(ens):
+    ens.t_cond[np.flatnonzero(ens.winner >= 0)[0]] = np.nan
+
+
+def _corrupt_t_cond_of_unrecorded(ens):
+    ens.t_cond[np.flatnonzero(ens.winner < 0)[0]] = 0.1
+
+
+def _corrupt_sample_hole(ens):
+    ens.samples[0, 1] = np.nan  # every path fills slots 0 to 3
+
+
+def _corrupt_unstopped_short(ens):
+    path = np.flatnonzero(ens.winner < 0)[0]
+    ens.samples[path, 20] = np.nan  # slot 20 is t = 0.2, the run's end
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_t_cond_of_recorded, _corrupt_t_cond_of_unrecorded,
+    _corrupt_sample_hole, _corrupt_unstopped_short,
+])
+def test_output_checks_reject_corrupted_ensembles(corrupt):
+    # On K3 with N = 12 and t_max = 0.2, 14 of 20 paths stop at their
+    # record; the others sample every grid time up to 0.2.
+    config = ZrpConfig(chain=k3(), n_particles=12, b=1.5, seed=3,
+                       sample_times=tuple(np.linspace(0.0, 0.3, 31)), t_max=0.2)
+    ens = simulate_zrp_ensemble(config, [4, 4, 4], 20)
+    assert 0 < np.count_nonzero(ens.winner >= 0) < 20
+    corrupt(ens)
+    with pytest.raises(OutputInvariantError):
+        _check_outputs(config, ens)

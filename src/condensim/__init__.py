@@ -27,7 +27,6 @@ from .experiments import (
     martingale_residual,
     superharmonic_sign_check,
     hitting_bound_check,
-    generator_taylor_residual,
     winner_distribution,
 )
 from .zrp import (

@@ -75,15 +75,6 @@ class ChainSpec:
         """M_j = m_j * lambda(j), invariant for the embedded jump chain."""
         return self.m * self.holding
 
-    def fingerprint(self) -> str:
-        """Stable hash of (rates, m), used to detect mismatched comparisons."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.rates).tobytes())
-        h.update(np.ascontiguousarray(self.m).tobytes())
-        return h.hexdigest()[:16]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChainSpec)
@@ -106,7 +97,6 @@ def _reaches_all(edges: np.ndarray) -> bool:
 def validate_chain(
     rates: Sequence | np.ndarray,
     m: Sequence | np.ndarray | None = None,
-    tol: float = IDENTITY_TOL,
 ) -> ChainSpec:
     """Validate a rate matrix and pair it with an invariant measure.
 
@@ -115,7 +105,7 @@ def validate_chain(
     vector is a convention of this artifact; identities that are
     homogeneous in m do not depend on it.  A supplied ``m`` is accepted
     unnormalized but must be finite, strictly positive and invariant:
-    ||m^T G||_inf <= tol * ||m||_1 * max lambda.
+    ||m^T G||_inf <= IDENTITY_TOL * ||m||_1 * max lambda.
 
     Raises
     ------
@@ -165,7 +155,7 @@ def validate_chain(
             raise NonPositiveMeasureError("invariant measure must be finite and strictly positive")
         residual = np.abs(mv @ gen).max()
         scale = mv.sum() * max(r.sum(axis=1).max(), 1.0)
-        if not residual <= tol * scale:
+        if not residual <= IDENTITY_TOL * scale:
             raise NotInvariantError(
                 f"measure is not invariant: ||m^T G||_inf = {residual:.3e}"
             )

@@ -49,6 +49,7 @@ from .experiments import (
     winner_distribution,
 )
 from .reporting import ManifestTimer, fmt, write_csv
+from .rng import filled_slots
 from .zrp import ZrpConfig, initial_counts, simulate_zrp_ensemble
 
 SIGN_TOL = 1e-12
@@ -141,7 +142,7 @@ def _sample_rows(ens, masks=None) -> list[tuple]:
     """CSV rows ``(path, t, x_1..x_L[, mask])`` of the filled (not NaN)
     samples, path by path and in time order within a path."""
     rows = []
-    for i, ti in zip(*np.nonzero(~np.isnan(ens.samples).any(axis=2))):
+    for i, ti in zip(*np.nonzero(filled_slots(ens.samples))):
         extra = () if masks is None else (int(masks[i, ti]),)
         rows.append((int(i), float(ens.times[ti]), *ens.samples[i, ti], *extra))
     return rows
@@ -236,12 +237,12 @@ def cmd_compare(
     runs = _zrp(config, chain, manifest.seed, sampled=False)
     paths = config.experiment.paths
     dens = simulate_diffusion_ensemble(dc, x0, paths)
-    hist_d = winner_distribution(dens.trapped_vertex, chain.size, chain_id=chain.fingerprint())
+    hist_d = winner_distribution(dens.trapped_vertex, chain.size)
     rows = []
     for zc, eta0 in runs:
         n = zc.n_particles
         zens = simulate_zrp_ensemble(zc, eta0, paths)
-        hist_z = winner_distribution(zens.winner, chain.size, chain_id=chain.fingerprint())
+        hist_z = winner_distribution(zens.winner, chain.size)
         cmp = compare_winner(hist_z, hist_d)
         ks_cond = ks_distance(zens.t_cond, dens.t_cond)
         ks_sigma1 = ks_distance(zens.t_cond, dens.sigma1)

@@ -111,7 +111,7 @@ class RunConfig:
         )
 
     def subset_indices(self, size: int) -> tuple[int, ...]:
-        """Configured subset as 0-based indices; all sites when absent.
+        """Configured subset as sorted 0-based indices; all sites when absent.
 
         Raises ConfigRangeError for an empty list, a site outside 1..size
         or a repeated site.
@@ -126,7 +126,7 @@ class RunConfig:
                 raise ConfigRangeError(f"experiment.subset: site {s + 1} is outside 1..{size}")
         if len(set(sites)) < len(sites):
             raise ConfigRangeError(f"experiment.subset: {list(self.experiment.subset)} repeats a site")
-        return sites
+        return tuple(sorted(sites))
 
     def build_chain(self) -> ChainSpec:
         try:

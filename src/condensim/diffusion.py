@@ -48,7 +48,7 @@ from .errors import (
     StepStallError,
     ZeroCoordinateError,
 )
-from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed
+from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed, run_end
 
 # Hyperplane drift tolerance: increments sum to zero analytically, so
 # any larger deviation signals a step-size blowup.
@@ -68,9 +68,10 @@ def eps_abs_limit(size: int) -> float:
 class DiffusionConfig:
     """Parameters of the absorbed-diffusion integrator.
 
-    ``horizon=None`` runs every path to its trapped vertex (capped at
-    ``t_max``); the end must be positive.  ``eps_abs`` is below 1/L, so
-    an absorption always leaves a coordinate above it.
+    The chain has at most 12 sites: the engine's face table holds all
+    2^L faces.  ``horizon=None`` runs every path to its trapped vertex
+    (capped at ``t_max``); the end must be positive.  ``eps_abs`` is
+    below 1/L, so an absorption always leaves a coordinate above it.
     ``noise_scale=0`` turns the engine into a drift-only ODE integrator
     for deterministic cross-checks.  ``cond_delta``
     optionally records the first time the maximal coordinate reaches
@@ -92,6 +93,11 @@ class DiffusionConfig:
     allow_small_b: bool = False
 
     def __post_init__(self):
+        if self.chain.size > 12:
+            raise ConfigRangeError(
+                f"chain has {self.chain.size} sites; the ensemble engine precomputes "
+                f"2^L faces and supports L <= 12"
+            )
         if not self.dt_base > 0:
             raise ConfigRangeError("dt_base must be positive")
         if not 0 < self.eps_abs < eps_abs_limit(self.chain.size):
@@ -132,8 +138,6 @@ class FaceTable:
     """
 
     def __init__(self, chain: ChainSpec):
-        if chain.size > 12:
-            raise ConfigRangeError("ensemble engine precomputes 2^L faces; L > 12 unsupported")
         size = chain.size
         n_masks = 1 << size
         self.drift_v = np.zeros((n_masks, size, size))
@@ -377,7 +381,7 @@ def _check_outputs(config: DiffusionConfig, ens: DiffusionEnsemble) -> None:
     to the run's end."""
     if np.any((ens.trapped_vertex >= 0) != np.isfinite(ens.trapped_time)):
         raise OutputInvariantError("trapped vertices and trapping times disagree")
-    end = config.t_max if config.horizon is None else config.horizon
+    end = run_end(config.horizon, config.t_max)
     never = np.zeros(ens.n_paths, dtype=bool)
     check_samples(ens.samples, config.sample_times, end, never, ens.sample_masks)
 

@@ -2,9 +2,9 @@
 
 Cross-engine convergence functionals (winner distributions, absorption
 and condensation times), the expected-hitting-time bound, the
-super-harmonicity sign certificate, generator Taylor diagnostics, and
-martingale residuals.  Everything here reduces ensembles produced by
-the engines; nothing re-simulates.
+super-harmonicity sign certificate, and martingale residuals.
+Everything here reduces ensembles produced by the engines, or
+evaluates closed forms on the chain; nothing re-simulates.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpFunction, hole_product
+from .bumps import hole_product
 from .chain import (
     ChainSpec,
     _normalize_subset,
@@ -24,7 +24,6 @@ from .chain import (
     superharmonic_radius,
     subset_complement,
 )
-from .diffusion import generator_apply
 from .errors import (
     BadExponentsError,
     ConfigRangeError,
@@ -32,7 +31,6 @@ from .errors import (
     IncompletePathError,
     MismatchedChainsError,
 )
-from .zrp import ZrpConfig, zrp_generator_apply
 
 # Sample points per generator call in ``martingale_residual``.  Smaller
 # blocks speed the diffusion generator and slow the ZRP's, which does its
@@ -45,8 +43,7 @@ GENERATOR_BLOCK_POINTS = 32_768
 # is checked before any point is built.  With the grid built as arrays
 # the whole check costs 100-190 bytes of peak memory and 0.1-0.2 us a
 # point (K3 to the six-site complete graph, 2-vCPU x86 host), about
-# 50 MB and 0.06 s at the cap; K3 passes up to resolution 512.  The cap
-# also holds the Taylor residual's lattice, C(N + L - 1, L - 1) points.
+# 50 MB and 0.06 s at the cap; K3 passes up to resolution 512.
 GRID_POINTS = 1 << 18
 
 
@@ -68,10 +65,9 @@ class WinnerHistogram:
 
     counts: np.ndarray
     total: int
-    chain_id: str = ""
 
 
-def winner_distribution(winners, size: int, chain_id: str = "") -> WinnerHistogram:
+def winner_distribution(winners, size: int) -> WinnerHistogram:
     """Tally winners; every path must have reached its stopping rule."""
     w = np.asarray(winners)
     if w.size == 0:
@@ -79,7 +75,7 @@ def winner_distribution(winners, size: int, chain_id: str = "") -> WinnerHistogr
     if np.any(~np.isfinite(w.astype(float))) or np.any(w < 0) or np.any(w >= size):
         raise IncompletePathError("some paths did not reach their stopping rule")
     counts = np.bincount(w.astype(np.int64), minlength=size)
-    return WinnerHistogram(counts=counts, total=int(w.size), chain_id=chain_id)
+    return WinnerHistogram(counts=counts, total=int(w.size))
 
 
 @dataclass(frozen=True)
@@ -120,8 +116,6 @@ def compare_winner(h1: WinnerHistogram, h2: WinnerHistogram) -> WinnerComparison
     """
     if h1.counts.shape != h2.counts.shape:
         raise MismatchedChainsError("histograms cover different site sets")
-    if h1.chain_id and h2.chain_id and h1.chain_id != h2.chain_id:
-        raise MismatchedChainsError("histograms come from different chains")
     p = h1.counts / h1.total
     q = h2.counts / h2.total
     tv = 0.5 * float(np.abs(p - q).sum())
@@ -169,20 +163,15 @@ class HittingBoundCheck:
     """Empirical check of the expected-hitting-time bound.
 
     The bound |B|^((q-1) v 1) / ((q+1)(q-b) d(B)) must dominate the
-    sample mean of the first absorption time within confidence noise;
-    d(B) scales with the normalization of m, which the engines and the
-    bound share.
+    sample mean of the first absorption time within confidence noise:
+    the check passes when mean - ci_halfwidth <= bound.  One sample has
+    a NaN half-width, so it cannot pass.  d(B) scales with the
+    normalization of m, which the engines and the bound share.
     """
 
-    B: tuple[int, ...]
-    b: float
-    q: float
-    d_B: float
     bound: float
     empirical_mean_sigma1: float
     ci_halfwidth: float
-    n_samples: int
-    violated: bool
 
 
 def hitting_bound_check(
@@ -195,22 +184,9 @@ def hitting_bound_check(
         raise IncompletePathError("sigma1 samples missing or unfinished")
     bset = _normalize_subset(chain.size, B)
     d_b = hitting_diagonal_min(chain, bset)
-    size_b = len(bset)
-    bound = size_b ** max(q - 1.0, 1.0) / ((q + 1.0) * (q - b) * d_b)
-    mean, stderr, n = _mean_stderr(samples)
-    ci = 1.96 * stderr
-    return HittingBoundCheck(
-        B=bset,
-        b=b,
-        q=q,
-        d_B=d_b,
-        bound=bound,
-        empirical_mean_sigma1=mean,
-        ci_halfwidth=ci,
-        n_samples=n,
-        # NaN-safe: one sample has no confidence interval and fails.
-        violated=not (mean - ci <= bound),
-    )
+    bound = len(bset) ** max(q - 1.0, 1.0) / ((q + 1.0) * (q - b) * d_b)
+    mean, stderr, _ = _mean_stderr(samples)
+    return HittingBoundCheck(bound=bound, empirical_mean_sigma1=mean, ci_halfwidth=1.96 * stderr)
 
 
 def superharmonic_expression(
@@ -358,80 +334,11 @@ def superharmonic_sign_check(
     )
 
 
-def _lattice_points(size: int, n: int) -> np.ndarray:
-    """Every point of the 1/n lattice of the simplex, in stars-and-bars
-    order: the parts between size - 1 bars among n + size - 1 slots."""
-    bars = np.array(list(itertools.combinations(range(n + size - 1), size - 1)))
-    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + size - 1))
-    return (np.diff(bars) - 1) / n
-
-
-def generator_taylor_residual(
-    chain: ChainSpec,
-    b: float,
-    h: BumpFunction,
-    n_list,
-    g_family: str = "default",
-    g_correction: float = 0.0,
-) -> dict[int, float]:
-    """Max Taylor residual of the particle generator against the limit.
-
-    For each N, the maximum over all points of the 1/N lattice of
-
-        | L_N H - L H - (1/2) sum_j (g_j(N x_j) - m_j) Delta_j H |,
-
-    which must vanish as N grows for test functions supported in the
-    open simplex.  Every N is checked, and its lattice of
-    C(N + L - 1, L - 1) points held to ``GRID_POINTS``, before any
-    point is built.
-    """
-    from .zrp import _g_table
-
-    configs = [
-        ZrpConfig(chain=chain, n_particles=n, b=b, seed=0,
-                  g_family=g_family, g_correction=g_correction)
-        for n in n_list
-    ]
-    for config in configs:
-        n = config.n_particles
-        count = math.comb(n + chain.size - 1, chain.size - 1)
-        if count > GRID_POINTS:
-            raise ConfigRangeError(
-                f"N = {n} on {chain.size} sites has {count} lattice points, "
-                f"above the cap of {GRID_POINTS}"
-            )
-    out = {}
-    hd_idx = np.arange(chain.size)
-    for config in configs:
-        n = int(config.n_particles)
-        pts = _lattice_points(chain.size, n)
-        ln_h = zrp_generator_apply(config, h, pts)
-        l_h = generator_apply(chain, b, h, pts)
-        _, hess = h.derivatives(pts)
-        hdiag = hess[..., hd_idx, hd_idx]
-        # Delta_j H = sum_k r(j,k) (H_kk - 2 H_jk + H_jj)
-        delta = (
-            chain.rates[None, :, :]
-            * (hdiag[:, None, :] - 2 * hess + hdiag[:, :, None])
-        ).sum(axis=2)
-        table = _g_table(chain, b, g_family, g_correction, n)
-        eta = np.rint(pts * n).astype(np.int64)
-        g = table.T[eta, hd_idx]
-        correction = 0.5 * ((g - chain.m) * delta).sum(axis=1)
-        out[n] = float(np.abs(ln_h - l_h - correction).max())
-    return out
-
-
 @dataclass(frozen=True)
 class MartingaleResidual:
     mean: float
     stderr: float
     n_paths: int
-
-    @property
-    def within(self) -> float:
-        """|mean| in units of the standard error."""
-        return abs(self.mean) / self.stderr if self.stderr > 0 else float("inf")
 
 
 def martingale_residual(

@@ -155,6 +155,20 @@ class PathStreams:
             yield out[0]
 
 
+def run_end(horizon: float | None, t_max: float) -> float:
+    """The end of a run: its ``horizon``, else ``t_max``."""
+    return t_max if horizon is None else horizon
+
+
+def filled_slots(samples: np.ndarray) -> np.ndarray:
+    """(paths, T) mask of the sample slots none of whose coordinates is NaN.
+
+    A NaN coordinate makes its row sum NaN.  The product sums the rows
+    about 8x faster than a reduction along the short last axis.
+    """
+    return ~np.isnan(samples @ np.ones(samples.shape[2]))
+
+
 def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[float, ...]:
     """Validate the run window and its sample grid; return the grid as floats.
 
@@ -166,7 +180,7 @@ def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[flo
         raise ConfigRangeError(f"horizon = {horizon} must be finite")
     if not np.isfinite(t_max):
         raise ConfigRangeError(f"t_max = {t_max} must be finite")
-    end = t_max if horizon is None else horizon
+    end = run_end(horizon, t_max)
     if not end > 0:
         raise ConfigRangeError(f"run end {end} (horizon, else t_max) must be positive")
     st = np.asarray(sample_times, dtype=float)
@@ -179,7 +193,7 @@ def check_samples(samples, sample_times, end: float, stopped, masks=None) -> Non
     """Raise OutputInvariantError unless the samples of every path fill a
     prefix of the grid.
 
-    A slot is filled when none of its coordinates is NaN.  A path not
+    A slot is filled as ``filled_slots`` has it.  A path not
     ``stopped`` early fills every slot whose time is at most the run's
     ``end`` (both in run-window units); ``masks``, when given, is
     nonzero exactly on the filled slots.  ``samples`` is None without a
@@ -187,9 +201,7 @@ def check_samples(samples, sample_times, end: float, stopped, masks=None) -> Non
     """
     if samples is None:
         return
-    # A NaN coordinate makes its row sum NaN.  The product sums the rows
-    # about 8x faster than a reduction along the short last axis.
-    filled = ~np.isnan(samples @ np.ones(samples.shape[2]))
+    filled = filled_slots(samples)
     count = filled.sum(axis=1)
     due = np.searchsorted(sample_times, end, side="right")
     bad = (filled[:, 1:] > filled[:, :-1]).any(axis=1)  # a filled slot after an empty one
@@ -222,7 +234,7 @@ class LiveSet:
         self.ids = np.arange(n_paths)
         self.t = np.zeros(n_paths)
         self.cursor = np.zeros(n_paths, dtype=np.int64)
-        self.end = (t_max if horizon is None else horizon) * scale
+        self.end = run_end(horizon, t_max) * scale
         self.end_bound = np.nextafter(self.end, np.inf)
         self.grid = np.append(np.asarray(sample_times, dtype=float) * scale, np.inf)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import BadInitialError, ConfigRangeError, NotLatticeError, OutputInvariantError
-from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed
+from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed, run_end
 
 G_FAMILIES = ("default", "corrected")
 
@@ -338,7 +338,7 @@ def _check_outputs(config: ZrpConfig, ens: ZrpEnsemble) -> None:
     recorded = ens.winner >= 0
     if np.any(np.isnan(ens.t_cond) == recorded):
         raise OutputInvariantError("condensation times and winners disagree")
-    end = config.t_max if config.horizon is None else config.horizon
+    end = run_end(config.horizon, config.t_max)
     check_samples(ens.samples, config.sample_times, end, recorded & (config.horizon is None))
 
 

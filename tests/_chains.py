@@ -1,9 +1,10 @@
 """Shared test chains, generators of randomized irreducible chains, a
-Monte-Carlo estimate of the trace rates, a runner for scripts in a
-fresh interpreter, and point-by-point references for the verification
-lattices."""
+Monte-Carlo estimate of the trace rates, the generator Taylor residual
+on the 1/N lattice, a runner for scripts in a fresh interpreter, and
+point-by-point references for the verification lattices."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
+from condensim.bumps import BumpFunction
 from condensim.chain import ChainSpec, _normalize_subset, validate_chain
-from condensim.errors import MismatchedChainsError
+from condensim.diffusion import generator_apply
+from condensim.errors import ConfigRangeError, MismatchedChainsError
+from condensim.experiments import GRID_POINTS
+from condensim.zrp import ZrpConfig, _g_table, zrp_generator_apply
 
 # Complete graph on three sites, unit rates; m is uniform by symmetry.
 K3_RATES = np.array(
@@ -217,9 +222,71 @@ def _simplex_grid(mass: float, n: int, floor: float, resolution: int):
             yield (v,) + rest
 
 
+def _lattice_points(size: int, n: int) -> np.ndarray:
+    """Every point of the 1/n lattice of the simplex, in stars-and-bars
+    order: the parts between size - 1 bars among n + size - 1 slots."""
+    bars = np.array(list(itertools.combinations(range(n + size - 1), size - 1)))
+    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + size - 1))
+    return (np.diff(bars) - 1) / n
+
+
+def generator_taylor_residual(
+    chain: ChainSpec,
+    b: float,
+    h: BumpFunction,
+    n_list,
+    g_family: str = "default",
+    g_correction: float = 0.0,
+) -> dict[int, float]:
+    """Max Taylor residual of the particle generator against the limit.
+
+    For each N, the maximum over all points of the 1/N lattice of
+
+        | L_N H - L H - (1/2) sum_j (g_j(N x_j) - m_j) Delta_j H |,
+
+    which must vanish as N grows for test functions supported in the
+    open simplex.  Every N is checked, and its lattice of
+    C(N + L - 1, L - 1) points held to ``GRID_POINTS``, before any
+    point is built.
+    """
+    configs = [
+        ZrpConfig(chain=chain, n_particles=n, b=b, seed=0,
+                  g_family=g_family, g_correction=g_correction)
+        for n in n_list
+    ]
+    for config in configs:
+        n = config.n_particles
+        count = math.comb(n + chain.size - 1, chain.size - 1)
+        if count > GRID_POINTS:
+            raise ConfigRangeError(
+                f"N = {n} on {chain.size} sites has {count} lattice points, "
+                f"above the cap of {GRID_POINTS}"
+            )
+    out = {}
+    hd_idx = np.arange(chain.size)
+    for config in configs:
+        n = int(config.n_particles)
+        pts = _lattice_points(chain.size, n)
+        ln_h = zrp_generator_apply(config, h, pts)
+        l_h = generator_apply(chain, b, h, pts)
+        _, hess = h.derivatives(pts)
+        hdiag = hess[..., hd_idx, hd_idx]
+        # Delta_j H = sum_k r(j,k) (H_kk - 2 H_jk + H_jj)
+        delta = (
+            chain.rates[None, :, :]
+            * (hdiag[:, None, :] - 2 * hess + hdiag[:, :, None])
+        ).sum(axis=2)
+        table = _g_table(chain, b, g_family, g_correction, n)
+        eta = np.rint(pts * n).astype(np.int64)
+        g = table.T[eta, hd_idx]
+        correction = 0.5 * ((g - chain.m) * delta).sum(axis=1)
+        out[n] = float(np.abs(ln_h - l_h - correction).max())
+    return out
+
+
 def reference_lattice_points(size: int, n: int) -> np.ndarray:
     """The 1/n simplex lattice built point by point, in the order of
-    ``experiments._lattice_points``."""
+    ``_lattice_points``."""
     pts = []
     for combo in itertools.combinations(range(n + size - 1), size - 1):
         prev = -1

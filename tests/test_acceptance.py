@@ -25,15 +25,14 @@ from condensim.experiments import (
     martingale_residual,
     superharmonic_sign_check,
     hitting_bound_check,
-    generator_taylor_residual,
     winner_distribution,
-    zrp_generator_apply,
 )
-from condensim.zrp import ZrpConfig, simulate_zrp_ensemble
+from condensim.zrp import ZrpConfig, simulate_zrp_ensemble, zrp_generator_apply
 
 from _chains import (
     asym3,
     asym4,
+    generator_taylor_residual,
     k3,
     random_irreducible_chain,
     trace_rate_mc,
@@ -141,7 +140,7 @@ def test_criterion_4_hitting_time_bound(diff_k3):
             )
         check = hitting_bound_check(chain, tuple(range(chain.size)), b, b + 0.5, ens.sigma1)
         margins.append(check.bound / check.empirical_mean_sigma1)
-        if check.violated:
+        if not check.empirical_mean_sigma1 - check.ci_halfwidth <= check.bound:
             failures.append((b, check))
     elapsed = time.monotonic() - t0
     report(
@@ -213,9 +212,10 @@ def test_criterion_6_martingale_residuals():
         )
         results.append(("diffusion", res_d))
         results.append(("zrp", res_z))
-    worst = max(r.within for _, r in results)
+    within = [abs(r.mean) / r.stderr if r.stderr > 0 else float("inf") for _, r in results]
+    worst = max(within)
     elapsed = time.monotonic() - t0
-    detail = ", ".join(f"{tag} |mean|/se={r.within:.2f}" for tag, r in results)
+    detail = ", ".join(f"{tag} |mean|/se={w:.2f}" for (tag, _), w in zip(results, within))
     report(6, worst <= 3.0 and elapsed < 300.0, f"{detail}, {elapsed:.0f}s")
 
 

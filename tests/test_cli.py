@@ -104,6 +104,21 @@ class TestChainInfo:
         a0 = [r[3] for r in rows if r[0] == "a0"]
         assert a0 == [dict(zip(header, psi4[0]))["a0"]] == ["0.35714285714285721"]
 
+    def test_subset_order_does_not_relabel_rows(self, tmp_path):
+        # Every row is labelled with its own sites, whatever the order
+        # of experiment.subset.
+        config = Path(__file__).resolve().parents[1] / "configs" / "asym3.yaml"
+        bodies = []
+        for subset in ("[1, 2]", "[2, 1]"):
+            cfg = tmp_path / "subset.yaml"
+            cfg.write_text(config.read_text().replace("subset: [1, 2]", f"subset: {subset}"))
+            out = tmp_path / subset
+            assert main(["chain-info", str(cfg), "--out", str(out)]) == 0
+            bodies.append((out / "chain_info.csv").read_text())
+        assert bodies[1] == bodies[0]
+        _, rows = read_rows(tmp_path / "[2, 1]" / "chain_info.csv")
+        assert ["u", "1", "2", "0"] in rows  # u_2 vanishes at site 1
+
 
 class TestZrpRun:
     def test_sample_and_condensation_files(self, tmp_path):
@@ -380,6 +395,32 @@ def test_bad_later_n_runs_no_ensemble(tmp_path, capsys, monkeypatch, n_list, eta
         assert line.startswith(f"config error: {key}"), (sub, line)
     assert runs == []
     assert list(out.glob("*")) == []
+
+
+def test_face_table_cap_runs_nothing(tmp_path, capsys, monkeypatch):
+    # A 13-site chain exceeds the diffusion's 12-site cap: diff-run,
+    # compare and verify exit 2 naming the chain before any identity
+    # residual or ensemble; zrp-run has no such cap.
+    import condensim.cli as cli
+
+    from _chains import ring
+
+    cfg, out = write_config(tmp_path, paths=10, n_list="13")
+    rates = ring(13).rates.tolist()
+    doc = cfg.read_text().replace("[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]", str(rates))
+    cfg.write_text(doc.replace("subset: [1, 2]", "subset: [1, 2]\n  grid: 2\n  eps: 0.01\n  horizon: 0.01"))
+    calls = []
+    for name in ("chain_identity_residuals", "simulate_zrp_ensemble", "simulate_diffusion_ensemble"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, f=getattr(cli, name): calls.append(name) or f(*a))
+    capsys.readouterr()
+    for sub in ("diff-run", "compare", "verify"):
+        assert main([sub, str(cfg)]) == 2, sub
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: chain has 13 sites"), (sub, line)
+    assert calls == []
+    assert list(out.glob("*")) == []
+    assert main(["zrp-run", str(cfg)]) == 0
+    assert calls == ["simulate_zrp_ensemble"]
 
 
 class TestExitCodes:

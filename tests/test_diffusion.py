@@ -390,6 +390,12 @@ class TestSimulate:
             DiffusionConfig(chain=ring(12), b=1.5, seed=1, eps_abs=0.09)
         DiffusionConfig(chain=ring(12), b=1.5, seed=1, eps_abs=0.08)
 
+    def test_face_table_cap_checked_by_the_config(self):
+        # The face table holds 2^L faces; the config rejects L > 12
+        # before any engine work.
+        with pytest.raises(ConfigRangeError, match="^chain has 13 sites"):
+            DiffusionConfig(chain=ring(13), b=1.5, seed=1, eps_abs=0.01)
+
     def test_condensation_threshold_in_unit_interval(self):
         # 1.5 would put every t_cond at 0; -0.1 and NaN would record
         # the trap time instead of a threshold crossing.

@@ -21,7 +21,6 @@ from .diffusion import (
 from .experiments import (
     SuperharmonicReport,
     HittingBoundCheck,
-    WinnerHistogram,
     compare_winner,
     ks_distance,
     martingale_residual,

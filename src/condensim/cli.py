@@ -34,6 +34,7 @@ from .chain import (
 from .config import RunConfig, __version__, check_seed, config_hash, parse_config
 from .diffusion import DiffusionConfig, simplex_point, simulate_diffusion_ensemble
 from .errors import (
+    BadExponentsError,
     BadInitialError,
     CondensimError,
     ConfigRangeError,
@@ -118,20 +119,22 @@ def _zrp(
     return runs
 
 
-def _sign_check(config: RunConfig, chain: ChainSpec) -> SuperharmonicReport:
-    """The sign certificate on the configured subset, or on the first
-    L-1 sites when it is the full set, since the check needs a nonempty
-    complement."""
+def _sign_check(config: RunConfig, chain: ChainSpec) -> tuple[tuple, SuperharmonicReport]:
+    """The subset and its sign certificate: the configured subset, or
+    the first L-1 sites when it is the full set, since the check needs a
+    nonempty complement."""
     subset = config.subset_indices(chain.size)
     if len(subset) == chain.size:
         subset = tuple(range(chain.size - 1))
     exp = config.experiment
     try:
-        return superharmonic_sign_check(
+        return subset, superharmonic_sign_check(
             chain, subset, config.model.b, config.effective_p(), exp.eps, exp.grid
         )
     except ConfigRangeError as exc:  # the grid cap
         raise ConfigSchemaError("experiment.grid", str(exc)) from exc
+    except BadExponentsError as exc:  # b < p + 1 fails, or b <= 1 is allowed
+        raise ConfigSchemaError("experiment.p", str(exc)) from exc
 
 
 def _site_cols(size: int) -> list[str]:
@@ -166,8 +169,11 @@ def cmd_chain_info(
     for ki, k in enumerate(subset):
         rows += [("upsilon", k + 1, j + 1, basis[j, ki]) for j in range(size)]
     if len(subset) < size:
-        p = config.effective_p()
-        rows.append(("a0", "", "", superharmonic_radius(chain, subset, config.model.b, p)))
+        try:
+            a0 = superharmonic_radius(chain, subset, config.model.b, config.effective_p())
+        except BadExponentsError as exc:  # b <= 1 is allowed
+            raise ConfigSchemaError("experiment.p", str(exc)) from exc
+        rows.append(("a0", "", "", a0))
     path = write_csv(outdir / "chain_info.csv", ["quantity", "i", "j", "value"], rows)
     sys.stdout.write(path.read_text())
     return 0
@@ -194,7 +200,7 @@ def cmd_zrp_run(
             ["path_id", "t_cond", "winner"],
             cond_rows,
         )
-        print(f"N={n}: {ens.n_paths} paths, condensed {np.sum(~np.isnan(ens.t_cond))}")
+        print(f"N={n}: {len(ens.winner)} paths, condensed {np.sum(~np.isnan(ens.t_cond))}")
     return 0
 
 
@@ -205,10 +211,12 @@ def cmd_diff_run(
         *_diffusion(config, chain, manifest.seed, sampled=True), config.experiment.paths
     )
     if ens.samples is not None:
+        # The face of a sample is its support; an unfilled (NaN) slot has none.
+        faces = (ens.samples > 0) @ (1 << np.arange(chain.size))
         write_csv(
             outdir / "diff_samples.csv",
             ["path_id", "t", *_site_cols(chain.size), "active_B"],
-            _sample_rows(ens, ens.sample_masks),
+            _sample_rows(ens, faces),
         )
     abs_rows = []
     for i, events in enumerate(ens.events):
@@ -226,7 +234,7 @@ def cmd_diff_run(
         abs_rows,
     )
     trapped = int((ens.trapped_vertex >= 0).sum())
-    print(f"{ens.n_paths} paths, trapped {trapped}")
+    print(f"{len(ens.sigma1)} paths, trapped {trapped}")
     return 0
 
 
@@ -271,8 +279,8 @@ def cmd_verify(
     when value <= threshold, so a NaN value fails."""
     dc, x0 = _diffusion(config, chain, manifest.seed, sampled=False, absorbing=True)
     checks = chain_identity_residuals(chain)
-    psi = _sign_check(config, chain)
-    checks.append(("superharmonic_sign", f"B mask {mask_of(psi.B)}", psi.max_value, SIGN_TOL))
+    subset, psi = _sign_check(config, chain)
+    checks.append(("superharmonic_sign", f"B mask {mask_of(subset)}", psi.max_value, SIGN_TOL))
     dens = simulate_diffusion_ensemble(dc, x0, config.experiment.paths)
     hit = hitting_bound_check(
         chain, np.nonzero(x0 > 0)[0], config.model.b, config.effective_q(), dens.sigma1
@@ -301,10 +309,11 @@ def cmd_verify(
 def cmd_psi4_check(
     config: RunConfig, chain: ChainSpec, outdir: Path, manifest: ManifestTimer
 ) -> int:
-    psi = _sign_check(config, chain)
+    subset, psi = _sign_check(config, chain)
+    exp = config.experiment
     passed = manifest.record(
         "superharmonic_sign", psi.max_value <= SIGN_TOL, psi.max_value, SIGN_TOL,
-        f"B mask {mask_of(psi.B)}",
+        f"B mask {mask_of(subset)}",
     )
     write_csv(
         outdir / "psi4_report.csv",
@@ -314,8 +323,8 @@ def cmd_psi4_check(
         ],
         [
             (
-                mask_of(psi.B), psi.b, psi.p, psi.eps, psi.a0, psi.resolution,
-                psi.n_points, psi.max_value, *psi.argmax, passed,
+                mask_of(subset), config.model.b, config.effective_p(), exp.eps, psi.a0,
+                exp.grid, psi.n_points, psi.max_value, *psi.argmax, passed,
             )
         ],
     )

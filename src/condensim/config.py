@@ -39,9 +39,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .chain import ChainSpec, validate_chain
-from .diffusion import DT_RULES, eps_abs_limit
+from .diffusion import DT_RULES, DiffusionConfig, eps_abs_limit
 from .errors import ChainValidationError, ConfigRangeError, ConfigSchemaError
-from .zrp import G_FAMILIES
+from .zrp import G_FAMILIES, ZrpConfig
 
 __version__ = "0.1.0"
 
@@ -55,20 +55,20 @@ class ChainBlock:
 @dataclass
 class ModelBlock:
     b: float = 1.5
-    g_family: str = "default"
-    g_correction: float = 0.0
+    g_family: str = ZrpConfig.g_family
+    g_correction: float = ZrpConfig.g_correction
     N: list[int] = field(default_factory=lambda: [100])
-    allow_small_b: bool = False
+    allow_small_b: bool = DiffusionConfig.allow_small_b
 
 
 @dataclass
 class DiffusionBlock:
-    dt_base: float = 1e-3
-    eps_abs: float = 1e-4
-    noise_scale: float = 1.0
-    dt_rule: str = "clamped"
-    horizon: float | None = None
-    t_max: float = 100.0
+    dt_base: float = DiffusionConfig.dt_base
+    eps_abs: float = DiffusionConfig.eps_abs
+    noise_scale: float = DiffusionConfig.noise_scale
+    dt_rule: str = DiffusionConfig.dt_rule
+    horizon: float | None = DiffusionConfig.horizon
+    t_max: float = DiffusionConfig.t_max
 
 
 @dataclass
@@ -76,7 +76,7 @@ class ExperimentBlock:
     seed: int
     paths: int = 1000
     sample_times: list[float] = field(default_factory=list)
-    delta: float = 0.05
+    delta: float = ZrpConfig.delta
     q: float | None = None
     p: float | None = None
     eps: float = 0.3
@@ -197,14 +197,28 @@ def _coerce(path: str, value, hint):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config document.
 
-    Raises ConfigSchemaError (with the offending key path) on missing
-    or unknown keys and type errors, ConfigRangeError on out-of-range
-    values.
+    Raises ConfigSchemaError (with the offending key path) on missing,
+    unknown or repeated keys and type errors, ConfigRangeError on
+    out-of-range values.
     """
     import yaml  # here, not at the top: only parsing pays its import
 
+    class Loader(yaml.SafeLoader):
+        """Rejects a key repeated in one mapping, where PyYAML keeps the last."""
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    name = self.construct_object(key)
+                    if name in seen:
+                        line = key.start_mark.line + 1
+                        raise ConfigSchemaError(str(name), f"repeated key on line {line}")
+                    seen.add(name)
+            return super().construct_mapping(node, deep)
+
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ConfigSchemaError("<document>", f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -118,10 +118,6 @@ class DiffusionConfig:
                 )
             warnings.warn("running the diffusion with b <= 1", stacklevel=2)
 
-    @property
-    def eps_guard(self) -> float:
-        return 10.0 * self.eps_abs
-
 
 class FaceTable:
     """Dense per-face drift and noise data for the ensemble engine.
@@ -244,13 +240,12 @@ def em_step(
 
 @dataclass
 class DiffusionEnsemble:
-    """Results of a batch of absorbed-diffusion paths; the
-    config and the start are the caller's and are not echoed here."""
+    """Results of a batch of absorbed-diffusion paths; the config, the
+    start and the path count are the caller's and are not echoed here.
+    The face of a filled sample is its support, ``samples > 0``."""
 
-    n_paths: int
     times: np.ndarray
     samples: np.ndarray | None  # (n_paths, T, L)
-    sample_masks: np.ndarray | None  # (n_paths, T) active-set bitmasks
     sigma1: np.ndarray  # first absorption time per path (nan if none)
     trapped_vertex: np.ndarray  # site index, -1 if not trapped
     trapped_time: np.ndarray  # nan if not trapped
@@ -287,7 +282,6 @@ def simulate_diffusion_ensemble(
     t_cond = np.full(n_paths, np.nan)
     events: list[list] = [[] for _ in range(n_paths)]
     samples = np.full((n_paths, n_samp, size), np.nan) if n_samp else None
-    sample_masks = np.zeros((n_paths, n_samp), dtype=np.int64) if n_samp else None
 
     x = np.repeat(x0[:, None], n_paths, axis=1)  # (L, M): one column per live path
     masks = np.full(n_paths, mask_of(np.nonzero(x0 > 0)[0]), dtype=np.int64)
@@ -303,7 +297,7 @@ def simulate_diffusion_ensemble(
             gaussian=True,
         )
     eta = MAX_RELATIVE_MOVE
-    eps_guard = config.eps_guard
+    eps_guard = 10.0 * config.eps_abs
     # Per-face noise variance per unit time, one column per face.
     noise_var = np.ascontiguousarray((config.noise_scale**2 * faces.noise_diag).T)
 
@@ -320,7 +314,6 @@ def simulate_diffusion_ensemble(
             bound[trapped] = live.end_bound
             cols, slots = live.due_samples(bound)
             samples[live.ids[cols], slots] = x[:, cols].T
-            sample_masks[live.ids[cols], slots] = masks[cols]
         trapped_vertex[live.ids[trapped]] = faces.active[:, masks[trapped]].argmax(axis=0)
         trapped_time[live.ids[trapped]] = live.t[trapped]
         x, masks = live.retire(~trapped, x, masks)
@@ -367,23 +360,21 @@ def simulate_diffusion_ensemble(
             for pid, t_hit, mask in zip(pids.tolist(), t[cols].tolist(), masks[cols].tolist()):
                 events[pid].append((t_hit, mask))
 
-    ens = DiffusionEnsemble(
-        n_paths, np.asarray(config.sample_times), samples, sample_masks,
-        sigma1, trapped_vertex, trapped_time, t_cond, events,
-    )
+    times = np.asarray(config.sample_times)
+    ens = DiffusionEnsemble(times, samples, sigma1, trapped_vertex, trapped_time, t_cond, events)
     _check_outputs(config, ens)
     return ens
 
 
 def _check_outputs(config: DiffusionConfig, ens: DiffusionEnsemble) -> None:
     """Raise OutputInvariantError unless every path has a trapping time
-    exactly when it has a trapped vertex, and samples and their masks up
-    to the run's end."""
+    exactly when it has a trapped vertex, and samples up to the run's
+    end."""
     if np.any((ens.trapped_vertex >= 0) != np.isfinite(ens.trapped_time)):
         raise OutputInvariantError("trapped vertices and trapping times disagree")
     end = run_end(config.horizon, config.t_max)
-    never = np.zeros(ens.n_paths, dtype=bool)
-    check_samples(ens.samples, config.sample_times, end, never, ens.sample_masks)
+    never = np.zeros(len(ens.sigma1), dtype=bool)
+    check_samples(ens.samples, config.sample_times, end, never)
 
 
 def drift_field(chain: ChainSpec, b: float, x: np.ndarray) -> np.ndarray:

@@ -59,23 +59,15 @@ def _mean_stderr(values) -> tuple[float, float, int]:
     return mean, float(np.sqrt(var / n)), n
 
 
-@dataclass(frozen=True)
-class WinnerHistogram:
-    """Tally of final sites (trapped vertices or condensation winners)."""
-
-    counts: np.ndarray
-    total: int
-
-
-def winner_distribution(winners, size: int) -> WinnerHistogram:
-    """Tally winners; every path must have reached its stopping rule."""
+def winner_distribution(winners, size: int) -> np.ndarray:
+    """Counts of the final sites (trapped vertices or condensation winners)
+    per site, summing to the path count; every path must have stopped."""
     w = np.asarray(winners)
     if w.size == 0:
         raise IncompletePathError("no paths to tally")
     if np.any(~np.isfinite(w.astype(float))) or np.any(w < 0) or np.any(w >= size):
         raise IncompletePathError("some paths did not reach their stopping rule")
-    counts = np.bincount(w.astype(np.int64), minlength=size)
-    return WinnerHistogram(counts=counts, total=int(w.size))
+    return np.bincount(w.astype(np.int64), minlength=size)
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,9 @@ def _chi2_tail(dof: int, x: float) -> float:
     return math.fsum([math.erfc(math.sqrt(y)), *terms])
 
 
-def compare_winner(h1: WinnerHistogram, h2: WinnerHistogram) -> WinnerComparison:
-    """Total-variation distance and a two-sample chi-square test.
+def compare_winner(c1: np.ndarray, c2: np.ndarray) -> WinnerComparison:
+    """Total-variation distance and a two-sample chi-square test of two
+    winner counts, as ``winner_distribution`` returns them.
 
     The p-value is the chi-square tail Q(dof/2, chi2/2): a finite sum of
     Poisson terms for even dof, and erfc plus such a sum for odd dof
@@ -114,23 +107,18 @@ def compare_winner(h1: WinnerHistogram, h2: WinnerHistogram) -> WinnerComparison
     relative for dof 1 to 12 wherever the tail is at least 1e-290, as
     close as scipy's ``chdtrc``; dof 2 gives exp(-chi2/2) exactly.
     """
-    if h1.counts.shape != h2.counts.shape:
+    if c1.shape != c2.shape:
         raise MismatchedChainsError("histograms cover different site sets")
-    p = h1.counts / h1.total
-    q = h2.counts / h2.total
+    n1, n2 = int(c1.sum()), int(c2.sum())
+    p = c1 / n1
+    q = c2 / n2
     tv = 0.5 * float(np.abs(p - q).sum())
-    se = 0.5 * float(
-        np.sqrt((p * (1 - p) / h1.total + q * (1 - q) / h2.total).sum())
-    )
-    both = h1.counts + h2.counts
+    se = 0.5 * float(np.sqrt((p * (1 - p) / n1 + q * (1 - q) / n2).sum()))
+    both = c1 + c2
     cells = both > 0
-    n1, n2 = h1.total, h2.total
     e1 = both[cells] * n1 / (n1 + n2)
     e2 = both[cells] * n2 / (n1 + n2)
-    chi2 = float(
-        ((h1.counts[cells] - e1) ** 2 / e1).sum()
-        + ((h2.counts[cells] - e2) ** 2 / e2).sum()
-    )
+    chi2 = float(((c1[cells] - e1) ** 2 / e1).sum() + ((c2[cells] - e2) ** 2 / e2).sum())
     dof = int(cells.sum()) - 1
     pvalue = _chi2_tail(dof, chi2) if dof > 0 else 1.0
     return WinnerComparison(tv=tv, tv_stderr=se, chi2=chi2, dof=dof, pvalue=pvalue)
@@ -293,14 +281,10 @@ def superharmonic_region_grid(
 
 @dataclass(frozen=True)
 class SuperharmonicReport:
-    """Sign certificate of the super-harmonicity expression on a grid."""
+    """Sign certificate of the super-harmonicity expression on a grid;
+    the subset, exponents, eps and resolution are the caller's."""
 
-    B: tuple[int, ...]
-    b: float
-    p: float
-    eps: float
     a0: float
-    resolution: int
     n_points: int
     max_value: float
     argmax: tuple[float, ...]
@@ -322,15 +306,7 @@ def superharmonic_sign_check(
     values = superharmonic_expression(chain, bset, b, p, grid)
     imax = int(values.argmax())
     return SuperharmonicReport(
-        B=bset,
-        b=b,
-        p=p,
-        eps=eps,
-        a0=a0,
-        resolution=resolution,
-        n_points=grid.shape[0],
-        max_value=float(values[imax]),
-        argmax=tuple(grid[imax]),
+        a0=a0, n_points=grid.shape[0], max_value=float(values[imax]), argmax=tuple(grid[imax])
     )
 
 

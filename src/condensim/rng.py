@@ -189,14 +189,13 @@ def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[flo
     return tuple(st.tolist())
 
 
-def check_samples(samples, sample_times, end: float, stopped, masks=None) -> None:
+def check_samples(samples, sample_times, end: float, stopped) -> None:
     """Raise OutputInvariantError unless the samples of every path fill a
     prefix of the grid.
 
     A slot is filled as ``filled_slots`` has it.  A path not
     ``stopped`` early fills every slot whose time is at most the run's
-    ``end`` (both in run-window units); ``masks``, when given, is
-    nonzero exactly on the filled slots.  ``samples`` is None without a
+    ``end`` (both in run-window units).  ``samples`` is None without a
     grid.
     """
     if samples is None:
@@ -206,8 +205,6 @@ def check_samples(samples, sample_times, end: float, stopped, masks=None) -> Non
     due = np.searchsorted(sample_times, end, side="right")
     bad = (filled[:, 1:] > filled[:, :-1]).any(axis=1)  # a filled slot after an empty one
     bad |= ~stopped & (count < due)
-    if masks is not None:
-        bad |= ((masks != 0) != filled).any(axis=1)
     if bad.any():
         raise OutputInvariantError(
             f"path {int(bad.argmax())} has sample slots that are not the grid "

@@ -52,6 +52,9 @@ FINISH_EDGES = 96
 # above N = 932,066; every configuration in use is far below.
 TABLE_BYTES = 1 << 26
 
+# Macroscopic time at which a run without a horizon stops, condensed or not.
+T_MAX = 1e3
+
 
 def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
     """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
@@ -87,7 +90,7 @@ class ZrpConfig:
     """Parameters of one zero-range simulation.
 
     ``horizon`` (macroscopic) switches to fixed-horizon runs; otherwise
-    paths stop at the condensation record, capped at ``t_max``, and a
+    paths stop at the condensation record, capped at ``T_MAX``, and a
     stopped path is sampled up to and including ``t_cond``.  All
     clocks, thresholds and outputs are macroscopic.
     """
@@ -101,7 +104,6 @@ class ZrpConfig:
     sample_times: tuple[float, ...] = ()
     horizon: float | None = None
     delta: float = 0.05
-    t_max: float = 1e3
 
     def __post_init__(self):
         n = self.n_particles
@@ -117,7 +119,7 @@ class ZrpConfig:
             )
         if not 0.0 < self.delta < 1.0:
             raise ConfigRangeError("condensation threshold delta must be in (0, 1)")
-        times = check_window(self.horizon, self.t_max, self.sample_times)
+        times = check_window(self.horizon, T_MAX, self.sample_times)
         object.__setattr__(self, "sample_times", times)
         if self.g_family not in G_FAMILIES:
             raise ConfigRangeError(f"unknown g family {self.g_family!r}")
@@ -132,9 +134,8 @@ class ZrpConfig:
 @dataclass
 class ZrpEnsemble:
     """Results of a batch of zero-range paths from a common start; the
-    config and the start are the caller's and are not echoed here."""
+    config, start and path count are the caller's and not echoed here."""
 
-    n_paths: int
     times: np.ndarray  # shared macroscopic sample grid (may be empty)
     samples: np.ndarray | None  # (n_paths, T, L) occupation fractions
     t_cond: np.ndarray  # (n_paths,) first condensation time, nan if none
@@ -220,7 +221,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     n = config.n_particles
     eta0 = initial_counts(config, eta0)
     scale = float(n) * n  # micro time per macro unit
-    live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times, scale)
+    live = LiveSet(n_paths, config.horizon, T_MAX, config.sample_times, scale)
 
     table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
     src, dst = np.nonzero(chain.rates)
@@ -326,7 +327,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     if live.ids.size:
         _finish(live, eta, streams, edge_rate, src, dst, n, cond_level,
                 config.horizon is None, (t_cond, winner, samples))
-    ens = ZrpEnsemble(n_paths, np.asarray(config.sample_times), samples, t_cond, winner)
+    ens = ZrpEnsemble(np.asarray(config.sample_times), samples, t_cond, winner)
     _check_outputs(config, ens)
     return ens
 
@@ -338,7 +339,7 @@ def _check_outputs(config: ZrpConfig, ens: ZrpEnsemble) -> None:
     recorded = ens.winner >= 0
     if np.any(np.isnan(ens.t_cond) == recorded):
         raise OutputInvariantError("condensation times and winners disagree")
-    end = run_end(config.horizon, config.t_max)
+    end = run_end(config.horizon, T_MAX)
     check_samples(ens.samples, config.sample_times, end, recorded & (config.horizon is None))
 
 

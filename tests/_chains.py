@@ -1,7 +1,8 @@
 """Shared test chains, generators of randomized irreducible chains, a
 Monte-Carlo estimate of the trace rates, the generator Taylor residual
-on the 1/N lattice, a runner for scripts in a fresh interpreter, and
-point-by-point references for the verification lattices."""
+on the 1/N lattice, a runner for scripts in a fresh interpreter,
+point-by-point references for the verification lattices, and a check of
+diffusion samples against the faces their absorption events give."""
 
 import itertools
 import math
@@ -94,6 +95,33 @@ def ring(size: int) -> ChainSpec:
         if i % 2 == 0:
             rates[i, (i + size // 2) % size] = 0.3 + 0.1 * (i % 3)
     return validate_chain(rates)
+
+
+def paths_off_their_faces(ens, start_face: int) -> list[int]:
+    """The paths of a diffusion ensemble with a filled sample off the
+    face that its absorption events give.
+
+    A sample at grid time s is the state at the first step time t >= s,
+    so its face is the one after the events before s, or after one more
+    event at t.  The faces come from ``start_face`` (a bitmask) and the
+    events alone.  Each filled sample must have one of those two faces
+    as its support and no negative coordinate, so it is exactly 0 off
+    its face; and a path's samples never gain a site.
+    """
+    samples = ens.samples
+    filled = ~np.isnan(samples).any(axis=2)
+    support = (samples > 0) @ (1 << np.arange(samples.shape[2]))
+    bad = []
+    for i, events in enumerate(ens.events):
+        faces = [start_face, *(mask for _, mask in events)]
+        faces = np.array(faces + faces[-1:])
+        before = np.searchsorted([t for t, _ in events], ens.times[filled[i]], side="left")
+        s = support[i, filled[i]]
+        on_face = np.all((s == faces[before]) | (s == faces[before + 1]))
+        gained = np.any(s[1:] & ~s[:-1])
+        if not on_face or gained or np.any(samples[i, filled[i]] < 0):
+            bad.append(i)
+    return bad
 
 
 def random_irreducible_chain(rng: np.random.Generator, size: int) -> ChainSpec:

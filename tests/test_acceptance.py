@@ -34,6 +34,7 @@ from _chains import (
     asym4,
     generator_taylor_residual,
     k3,
+    paths_off_their_faces,
     random_irreducible_chain,
     trace_rate_mc,
 )
@@ -235,27 +236,18 @@ def test_criterion_7_generator_taylor_residual():
 
 def test_criterion_8_absorption_structure(diff_k3):
     trapped = int((diff_k3.trapped_vertex >= 0).sum())
-    frac = trapped / diff_k3.n_paths
+    frac = trapped / PATHS
     structure_ok = True
-    for i in range(diff_k3.n_paths):
+    for i in range(PATHS):
         pops = [bin(mask).count("1") for _, mask in diff_k3.events[i]]
         if pops != sorted(pops, reverse=True) or len(set(pops)) != len(pops):
             structure_ok = False
         times = [t for t, _ in diff_k3.events[i]]
         if times != sorted(times):
             structure_ok = False
-    # Coordinates off the active set are exactly zero in every sample,
-    # and a coordinate never rejoins the active set.
-    zeros_ok = True
-    masks = diff_k3.sample_masks
-    for j in range(3):
-        bit = (masks >> j & 1).astype(bool)
-        off = ~bit
-        if np.any(diff_k3.samples[..., j][off] != 0.0):
-            zeros_ok = False
-        rejoined = bit[:, 1:] & ~bit[:, :-1]
-        if np.any(rejoined):
-            zeros_ok = False
+    # Coordinates off the active set, as the events give it, are
+    # exactly zero in every sample, and a coordinate never rejoins it.
+    zeros_ok = not paths_off_their_faces(diff_k3, 0b111)
     report(
         8,
         frac >= 0.999 and structure_ok and zeros_ok,

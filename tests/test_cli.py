@@ -314,6 +314,16 @@ class TestVerify:
             "negative-eps": ("experiment.eps", parse + ("verify",), base.replace(
                 "delta: 0.05", exp + "eps: -0.3"
             )),
+            # The sign certificate needs 1 < p < b < p + 1; the default
+            # p = (1 + b) / 2 breaks it from b = 3, and b <= 1 may be run.
+            "b3-default-p": ("experiment.p", ("psi4-check", "verify"), base.replace(
+                "b: 1.5", "b: 3.0"
+            )),
+            "small-b": ("experiment.p", ("chain-info", "psi4-check", "verify"), base.replace(
+                "b: 1.5", "b: 0.9\n  allow_small_b: true"
+            )),
+            # PyYAML keeps the last of two equal keys; the first is not dropped silently.
+            "repeated-key": ("model", parse, base + "model:\n  b: 2.0\n"),
         }
         capsys.readouterr()
         for name, (key, subs, doc) in typed.items():
@@ -429,10 +439,7 @@ class TestExitCodes:
         from condensim.experiments import SuperharmonicReport
 
         def fake_sign_check(chain, subset, b, p, eps, grid):
-            return SuperharmonicReport(
-                B=tuple(subset), b=b, p=p, eps=eps, a0=0.1,
-                resolution=grid, n_points=1, max_value=1.0, argmax=(0.0,) * 3,
-            )
+            return SuperharmonicReport(a0=0.1, n_points=1, max_value=1.0, argmax=(0.0,) * 3)
 
         monkeypatch.setattr(cli, "superharmonic_sign_check", fake_sign_check)
         cfg, out = write_config(tmp_path, paths=50)

@@ -25,6 +25,19 @@ experiment:
 """
 
 
+def with_blocks(doc: str) -> str:
+    """MINIMAL with each top-level block of ``doc`` in place of its own
+    block of that name, or added after it."""
+    blocks: dict[str, str] = {}
+    for text in (MINIMAL, doc):
+        for line in text.strip("\n").split("\n"):
+            if not line.startswith(" "):
+                key = line.split(":")[0]
+                blocks[key] = ""
+            blocks[key] += line + "\n"
+    return "".join(blocks.values())
+
+
 class TestParse:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -47,7 +60,7 @@ class TestParse:
         assert "chain.rates" in str(err.value)
 
     def test_small_b_needs_override(self):
-        doc = MINIMAL + "model:\n  b: 0.5\n"
+        doc = with_blocks("model:\n  b: 0.5\n")
         with pytest.raises(ConfigRangeError) as err:
             parse_config(doc)
         assert "not expected to be absorbed" in str(err.value)
@@ -56,7 +69,7 @@ class TestParse:
 
     def test_unknown_key_pinpointed(self):
         with pytest.raises(ConfigSchemaError) as err:
-            parse_config(MINIMAL + "diffusion:\n  dt_bass: 0.01\n")
+            parse_config(with_blocks("diffusion:\n  dt_bass: 0.01\n"))
         assert "diffusion.dt_bass" in str(err.value)
 
     def test_bad_yaml(self):
@@ -72,15 +85,15 @@ class TestParse:
 
     def test_range_checks(self):
         with pytest.raises(ConfigRangeError):
-            parse_config(MINIMAL + "experiment:\n  seed: 1\n  delta: 1.5\n")
+            parse_config(with_blocks("experiment:\n  seed: 1\n  delta: 1.5\n"))
         with pytest.raises(ConfigRangeError):
-            parse_config(MINIMAL + "diffusion:\n  dt_base: -0.1\n")
+            parse_config(with_blocks("diffusion:\n  dt_base: -0.1\n"))
         with pytest.raises(ConfigRangeError):
-            parse_config(MINIMAL + "experiment:\n  seed: 1\n  q: 1.0\n")
+            parse_config(with_blocks("experiment:\n  seed: 1\n  q: 1.0\n"))
 
 
     def test_list_entries_checked_per_element(self):
-        doc = MINIMAL + (
+        doc = with_blocks(
             "experiment:\n  seed: 7\n  sample_times: [0.0, 0.125, 0.25]\n"
             "  x0: [1, 0, 0]\n  eta0: [4, 3, 3]\n  subset: [1, 2]\n"
         )
@@ -119,7 +132,7 @@ class TestParse:
     def test_every_key_checked_against_its_type(self, key, doc):
         # The later block replaces MINIMAL's block of the same name.
         with pytest.raises(ConfigSchemaError) as err:
-            parse_config(MINIMAL + doc)
+            parse_config(with_blocks(doc))
         assert err.value.path == key
 
     @pytest.mark.parametrize(
@@ -131,19 +144,26 @@ class TestParse:
     )
     def test_non_finite_number_is_range_error(self, key, doc):
         with pytest.raises(ConfigRangeError) as err:
-            parse_config(MINIMAL + doc)
+            parse_config(with_blocks(doc))
         assert str(err.value).startswith(key + " = ")
 
+    def test_repeated_key_rejected(self):
+        # PyYAML keeps the last of two equal keys; the first must not vanish.
+        with pytest.raises(ConfigSchemaError, match="^b: repeated key on line 8"):
+            parse_config(MINIMAL + "model:\n  b: 2.0\n  b: 3.0\n")
+        with pytest.raises(ConfigSchemaError, match="^experiment: repeated key"):
+            parse_config(MINIMAL + "experiment:\n  seed: 1\n")
+
     def test_integral_floats_accepted_as_integers(self):
-        cfg = parse_config(MINIMAL + "model:\n  N: [10.0, 20]\n")
+        cfg = parse_config(with_blocks("model:\n  N: [10.0, 20]\n"))
         assert cfg.model.N == [10, 20] and all(type(n) is int for n in cfg.model.N)
 
     def test_null_where_default_is_null(self):
-        cfg = parse_config(MINIMAL + "chain:\n  rates: [[0.0, 1], [1, 0.0]]\n  m: null\n")
+        cfg = parse_config(with_blocks("chain:\n  rates: [[0.0, 1], [1, 0.0]]\n  m: null\n"))
         assert cfg.chain.m is None
         assert cfg.chain.rates == [[0.0, 1.0], [1.0, 0.0]]
         assert all(type(r) is float for row in cfg.chain.rates for r in row)
-        cfg = parse_config(MINIMAL + "model:\ndiffusion: null\n")
+        cfg = parse_config(with_blocks("model:\ndiffusion: null\n"))
         assert cfg.model == ModelBlock() and cfg.diffusion == DiffusionBlock()
 
 

@@ -35,7 +35,8 @@ from condensim.errors import (
 )
 
 from _chains import (
-    all_subsets_with_at_least, k3, random_irreducible_chain, ring, run_python,
+    all_subsets_with_at_least, k3, paths_off_their_faces, random_irreducible_chain, ring,
+    run_python,
 )
 
 # Deterministic blow-down time of the two-site drift ODE
@@ -286,19 +287,10 @@ class TestSimulate:
         times = tuple(np.linspace(0.0, 2.0, 81))
         config = DiffusionConfig(chain=k3(), b=1.5, seed=23, sample_times=times)
         ens = simulate_diffusion_ensemble(config, np.full(3, 1 / 3), n_paths=20)
-        for i in range(20):
-            pts = ens.samples[i]
-            masks = ens.sample_masks[i]
-            for row, mask in zip(pts, masks):
-                for j in range(3):
-                    if not mask >> j & 1:
-                        assert row[j] == 0.0
-            # Once a coordinate leaves the active set it never returns.
-            for j in range(3):
-                active = (masks >> j & 1).astype(bool)
-                switch = np.nonzero(~active)[0]
-                if switch.size:
-                    assert not active[switch[0]:].any()
+        assert np.all(~np.isnan(ens.samples))
+        # Off the face its events give, every coordinate is exactly 0,
+        # and once a coordinate leaves the face it never returns.
+        assert paths_off_their_faces(ens, 0b111) == []
 
     def test_simplex_conservation(self):
         times = tuple(np.linspace(0.0, 1.0, 51))
@@ -439,10 +431,14 @@ def _pinned_cases(noise_scale):
 
 
 def _digest(ens) -> str:
+    # The face of each sample slot is its support, as diff_samples.csv
+    # writes it: the pinned digests hold the faces the engine once stored.
+    samples = ens.samples
+    faces = None if samples is None else (samples > 0) @ (1 << np.arange(samples.shape[2]))
     h = hashlib.sha256()
     for a in (
         ens.sigma1, ens.trapped_vertex, ens.trapped_time, ens.t_cond,
-        ens.samples, ens.sample_masks,
+        ens.samples, faces,
     ):
         h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
     h.update(repr(ens.events).encode())
@@ -560,8 +556,8 @@ def test_horizon_runs_are_consistent(seed, size, n_paths):
     assert np.all(np.isfinite(ens.samples))
     assert np.all(ens.samples >= 0)
     np.testing.assert_allclose(ens.samples.sum(axis=-1), 1.0, atol=1e-9)
-    off_face = ((ens.sample_masks[..., None] >> np.arange(size)) & 1) == 0
-    assert np.all(ens.samples[off_face] == 0.0)
+    start_face = int((x0 > 0) @ (1 << np.arange(size)))
+    assert paths_off_their_faces(ens, start_face) == []
     for events in ens.events:
         assert all(t <= horizon for t, _ in events)
 
@@ -571,7 +567,7 @@ def test_horizon_runs_are_consistent(seed, size, n_paths):
     for a, b in (
         (ens.sigma1, head.sigma1), (ens.trapped_vertex, head.trapped_vertex),
         (ens.trapped_time, head.trapped_time), (ens.t_cond, head.t_cond),
-        (ens.samples, head.samples), (ens.sample_masks, head.sample_masks),
+        (ens.samples, head.samples),
     ):
         np.testing.assert_array_equal(a[:k], b)
     assert ens.events[:k] == head.events
@@ -673,7 +669,6 @@ def test_sample_grid_changes_nothing_but_the_samples(seed, size, to_horizon):
             continue
         after = filled[i] & (grid >= ens.trapped_time[i])
         np.testing.assert_array_equal(ens.samples[i, after], np.eye(size)[[vertex] * after.sum()])
-        assert np.all(ens.sample_masks[i, after] == 1 << vertex)
 
 
 class TestSchemeAccuracy:
@@ -777,17 +772,8 @@ def _corrupt_sample_short(ens):
     ens.samples[0, 20] = np.nan  # slot 20 is t = 0.2, the run's end
 
 
-def _corrupt_mask_on_empty_slot(ens):
-    ens.sample_masks[0, 21] = 7
-
-
-def _corrupt_mask_off_filled_slot(ens):
-    ens.sample_masks[0, 3] = 0
-
-
 @pytest.mark.parametrize("corrupt", [
-    _corrupt_trapped_time, _corrupt_untrapped_time, _corrupt_sample_hole,
-    _corrupt_sample_short, _corrupt_mask_on_empty_slot, _corrupt_mask_off_filled_slot,
+    _corrupt_trapped_time, _corrupt_untrapped_time, _corrupt_sample_hole, _corrupt_sample_short,
 ])
 def test_output_checks_reject_corrupted_ensembles(corrupt):
     # On K3 with t_max = 0.2, 15 of 20 paths are trapped, and every

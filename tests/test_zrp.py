@@ -247,7 +247,7 @@ class TestSimulate:
         assert lam == pytest.approx(5 / 6)
         p = 1 / 3 + 2 / 3 * np.exp(-3 * lam * np.array(times))
         at_start = (ens.samples[:, :, 0] == 1.0).mean(axis=0)
-        z = (at_start - p) / np.sqrt(p * (1 - p) / ens.n_paths)
+        z = (at_start - p) / np.sqrt(p * (1 - p) / 50_000)
         assert np.all(np.abs(z) <= 4.0), z
 
     def test_two_site_symmetric_winner_fairness(self, two_site):
@@ -255,7 +255,7 @@ class TestSimulate:
         ens = simulate_zrp_ensemble(config, [50, 50], n_paths=10_000)
         assert not np.any(np.isnan(ens.t_cond))
         freq = (ens.winner == 0).mean()
-        se = np.sqrt(0.25 / ens.n_paths)
+        se = np.sqrt(0.25 / 10_000)
         assert abs(freq - 0.5) <= 3 * se
 
     def test_small_b_warns(self, two_site):
@@ -265,13 +265,19 @@ class TestSimulate:
 
 def test_non_finite_horizons_rejected(two_site):
     # A NaN horizon never retires a path: t >= NaN is always false.
+    def diffusion(**kw):
+        return DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw)
+
     for make in (
         lambda **kw: ZrpConfig(chain=two_site, n_particles=10, b=1.5, seed=0, **kw),
-        lambda **kw: DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw),
+        diffusion,
     ):
-        for bad in ({"horizon": np.nan}, {"horizon": np.inf}, {"t_max": np.nan}):
+        for bad in ({"horizon": np.nan}, {"horizon": np.inf}):
             with pytest.raises(ConfigRangeError):
                 make(**bad)
+    # The diffusion's cap on a run to the trap is a parameter too.
+    with pytest.raises(ConfigRangeError):
+        diffusion(t_max=np.nan)
 
 
 def test_negative_sample_times_rejected(two_site):
@@ -567,11 +573,12 @@ def _corrupt_unstopped_short(ens):
     _corrupt_t_cond_of_recorded, _corrupt_t_cond_of_unrecorded,
     _corrupt_sample_hole, _corrupt_unstopped_short,
 ])
-def test_output_checks_reject_corrupted_ensembles(corrupt):
-    # On K3 with N = 12 and t_max = 0.2, 14 of 20 paths stop at their
-    # record; the others sample every grid time up to 0.2.
+def test_output_checks_reject_corrupted_ensembles(corrupt, monkeypatch):
+    # On K3 with N = 12 and the cap T_MAX at 0.2, 14 of 20 paths stop at
+    # their record; the others sample every grid time up to 0.2.
+    monkeypatch.setattr("condensim.zrp.T_MAX", 0.2)
     config = ZrpConfig(chain=k3(), n_particles=12, b=1.5, seed=3,
-                       sample_times=tuple(np.linspace(0.0, 0.3, 31)), t_max=0.2)
+                       sample_times=tuple(np.linspace(0.0, 0.3, 31)))
     ens = simulate_zrp_ensemble(config, [4, 4, 4], 20)
     assert 0 < np.count_nonzero(ens.winner >= 0) < 20
     corrupt(ens)

@@ -106,8 +106,7 @@ def _zrp(
     runs = []
     for n in model.N:
         zc = ZrpConfig(
-            chain=chain, n_particles=n, b=model.b, seed=seed,
-            g_family=model.g_family, g_correction=model.g_correction,
+            chain=chain, n_particles=n, b=model.b, seed=seed, g_correction=model.g_correction,
             sample_times=tuple(exp.sample_times) if sampled else (),
             horizon=exp.horizon, delta=exp.delta,
         )

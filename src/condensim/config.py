@@ -7,27 +7,7 @@ the default is ``null``, and a field without a default is required
 (``chain.rates`` and ``experiment.seed``).  Sites in configs are
 1-based (matching the ``x_1..x_L`` CSV headers); the library uses
 0-based indices internally and the CLI converts at the boundary.
-
-Schema (defaults in parentheses; each key's type is its field
-annotation below):
-
-  chain:
-    rates: LxL nonnegative matrix, zero diagonal      [required]
-    m: length-L positive vector or null (computed)
-  model:
-    b (1.5), g_family ("default"|"corrected"), g_correction (0.0),
-    N ([100]), allow_small_b (false)
-  diffusion:
-    dt_base (1e-3), eps_abs (1e-4), noise_scale (1.0),
-    dt_rule ("clamped"|"quadratic"), horizon (null = run to trap),
-    t_max (100.0)
-  experiment:
-    seed [required], paths (1000), sample_times ([]), delta (0.05),
-    q (null = b + 0.5), p (null = (1 + b) / 2), eps (0.3), grid (50),
-    subset (null = all sites), x0 (null = barycenter),
-    eta0 (null = balanced), horizon (null = stop at condensation)
-  output:
-    directory ("out")
+README's config schema shows every key with its default.
 """
 
 from __future__ import annotations
@@ -41,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 from .chain import ChainSpec, validate_chain
 from .diffusion import DT_RULES, DiffusionConfig, eps_abs_limit
 from .errors import ChainValidationError, ConfigRangeError, ConfigSchemaError
-from .zrp import G_FAMILIES, ZrpConfig
+from .zrp import ZrpConfig
 
 __version__ = "0.1.0"
 
@@ -55,7 +35,6 @@ class ChainBlock:
 @dataclass
 class ModelBlock:
     b: float = 1.5
-    g_family: str = ZrpConfig.g_family
     g_correction: float = ZrpConfig.g_correction
     N: list[int] = field(default_factory=lambda: [100])
     allow_small_b: bool = DiffusionConfig.allow_small_b
@@ -68,7 +47,6 @@ class DiffusionBlock:
     noise_scale: float = DiffusionConfig.noise_scale
     dt_rule: str = DiffusionConfig.dt_rule
     horizon: float | None = DiffusionConfig.horizon
-    t_max: float = DiffusionConfig.t_max
 
 
 @dataclass
@@ -243,10 +221,10 @@ def _validate_ranges(config: RunConfig) -> None:
             "absorbed at the boundary in this regime; set "
             "model.allow_small_b: true to explore it anyway"
         )
-    if model.g_family not in G_FAMILIES:
-        raise ConfigSchemaError("model.g_family", f"unknown family {model.g_family!r}")
     if not model.N or min(model.N) < 1:
         raise ConfigSchemaError("model.N", "must be a nonempty list of positive integers")
+    if len(set(model.N)) < len(model.N):
+        raise ConfigRangeError(f"model.N: {model.N} repeats a particle count")
     if not diff.dt_base > 0:
         raise ConfigRangeError(f"diffusion.dt_base = {diff.dt_base} must be positive")
     limit = eps_abs_limit(len(config.chain.rates))

@@ -27,7 +27,7 @@ sites, in numpy's own order, rather than a reduction along M short
 rows.  Only the noise F xi is computed on rows, one (L,) vector per
 path, and then transposed, because that einsum is faster than one
 down the sites.  The last step of a run is cut to end on the run's
-end (the horizon, else ``t_max``), so no record or sample stands for
+end (the horizon, else ``T_MAX``), so no record or sample stands for
 a later time.
 """
 
@@ -58,6 +58,9 @@ MAX_RELATIVE_MOVE = 0.25
 # Step-size rules: "clamped" also caps the relative move per step.
 DT_RULES = ("clamped", "quadratic")
 
+# Time at which a run without a horizon stops, trapped or not.
+T_MAX = 100.0
+
 
 def eps_abs_limit(size: int) -> float:
     """Exclusive upper bound of ``eps_abs`` on an L-site chain: min(0.1, 1/L)."""
@@ -70,7 +73,7 @@ class DiffusionConfig:
 
     The chain has at most 12 sites: the engine's face table holds all
     2^L faces.  ``horizon=None`` runs every path to its trapped vertex
-    (capped at ``t_max``); the end must be positive.  ``eps_abs`` is
+    (capped at ``T_MAX``); the end must be positive.  ``eps_abs`` is
     below 1/L, so an absorption always leaves a coordinate above it.
     ``noise_scale=0`` turns the engine into a drift-only ODE integrator
     for deterministic cross-checks.  ``cond_delta``
@@ -87,7 +90,6 @@ class DiffusionConfig:
     noise_scale: float = 1.0
     dt_rule: str = "clamped"  # one of DT_RULES
     horizon: float | None = None
-    t_max: float = 100.0
     sample_times: tuple[float, ...] = ()
     cond_delta: float | None = None
     allow_small_b: bool = False
@@ -108,15 +110,13 @@ class DiffusionConfig:
             raise ConfigRangeError(f"unknown dt rule {self.dt_rule!r}")
         if self.cond_delta is not None and not 0.0 < self.cond_delta < 1.0:
             raise ConfigRangeError("condensation threshold cond_delta must be in (0, 1)")
-        times = check_window(self.horizon, self.t_max, self.sample_times)
+        times = check_window(self.horizon, T_MAX, self.sample_times)
         object.__setattr__(self, "sample_times", times)
-        if not self.b > 1.0:
-            if not self.allow_small_b:
-                raise ConfigRangeError(
-                    "b <= 1 gives a diffusion that is not expected to be "
-                    "absorbed; pass allow_small_b=True to experiment anyway"
-                )
-            warnings.warn("running the diffusion with b <= 1", stacklevel=2)
+        if not (self.b > 1.0 or self.allow_small_b):
+            raise ConfigRangeError(
+                "b <= 1 gives a diffusion that is not expected to be "
+                "absorbed; pass allow_small_b=True to experiment anyway"
+            )
 
 
 class FaceTable:
@@ -267,10 +267,12 @@ def simulate_diffusion_ensemble(
     config: DiffusionConfig, x0, n_paths: int
 ) -> DiffusionEnsemble:
     """Integrate ``n_paths`` paths of the absorbed diffusion from x0."""
+    if not config.b > 1.0:
+        warnings.warn("running the diffusion with b <= 1", stacklevel=2)
     chain = config.chain
     size = chain.size
     x0 = simplex_point(x0, size)
-    live = LiveSet(n_paths, config.horizon, config.t_max, config.sample_times)
+    live = LiveSet(n_paths, config.horizon, T_MAX, config.sample_times)
     faces = FaceTable(chain)
 
     n_samp = len(config.sample_times)
@@ -372,7 +374,7 @@ def _check_outputs(config: DiffusionConfig, ens: DiffusionEnsemble) -> None:
     end."""
     if np.any((ens.trapped_vertex >= 0) != np.isfinite(ens.trapped_time)):
         raise OutputInvariantError("trapped vertices and trapping times disagree")
-    end = run_end(config.horizon, config.t_max)
+    end = run_end(config.horizon, T_MAX)
     never = np.zeros(len(ens.sigma1), dtype=bool)
     check_samples(ens.samples, config.sample_times, end, never)
 

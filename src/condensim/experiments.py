@@ -291,7 +291,7 @@ class SuperharmonicReport:
 
 
 def superharmonic_sign_check(
-    chain: ChainSpec, B, b: float, p: float, eps: float, resolution: int = 50
+    chain: ChainSpec, B, b: float, p: float, eps: float, resolution: int
 ) -> SuperharmonicReport:
     """Evaluate the closed-form expression over the certified region.
 

@@ -26,9 +26,10 @@ leaves the lockstep for good when ``PathStreams.hand_out`` gives it the
 rest of its stream, to be drawn one step at a time outside.
 
 Both engines observe their paths on one grid of sample times inside the
-run window [0, horizon or t_max]: ``check_window`` validates both, the
-live set hands out the sample slots each path reaches, and
-``check_samples`` checks the filled slots before an engine returns.
+run window [0, horizon or the engine's ``T_MAX``]: ``check_window``
+validates both, the live set hands out the sample slots each path
+reaches, and ``check_samples`` checks the filled slots before an engine
+returns.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class PathStreams:
         seed: int,
         n_paths: int,
         values_per_step: int,
-        block: int = 256,
+        block: int,
         gaussian: bool = False,
     ):
         self.k = int(values_per_step)
@@ -155,9 +156,9 @@ class PathStreams:
             yield out[0]
 
 
-def run_end(horizon: float | None, t_max: float) -> float:
-    """The end of a run: its ``horizon``, else ``t_max``."""
-    return t_max if horizon is None else horizon
+def run_end(horizon: float | None, cap: float) -> float:
+    """The end of a run: its ``horizon``, else the engine's ``cap``."""
+    return cap if horizon is None else horizon
 
 
 def filled_slots(samples: np.ndarray) -> np.ndarray:
@@ -169,20 +170,19 @@ def filled_slots(samples: np.ndarray) -> np.ndarray:
     return ~np.isnan(samples @ np.ones(samples.shape[2]))
 
 
-def check_window(horizon: float | None, t_max: float, sample_times) -> tuple[float, ...]:
+def check_window(horizon: float | None, cap: float, sample_times) -> tuple[float, ...]:
     """Validate the run window and its sample grid; return the grid as floats.
 
-    The end (``horizon``, else ``t_max``) must be finite and positive,
-    and the sample times >= 0 and strictly increasing; sample times past
-    the end are allowed and stay unfilled.  Raises ConfigRangeError.
+    The end (``horizon``, else the engine's ``cap``) must be finite and
+    positive, and the sample times >= 0 and strictly increasing; sample
+    times past the end are allowed and stay unfilled.  Raises
+    ConfigRangeError.
     """
     if not (horizon is None or np.isfinite(horizon)):
         raise ConfigRangeError(f"horizon = {horizon} must be finite")
-    if not np.isfinite(t_max):
-        raise ConfigRangeError(f"t_max = {t_max} must be finite")
-    end = run_end(horizon, t_max)
+    end = run_end(horizon, cap)
     if not end > 0:
-        raise ConfigRangeError(f"run end {end} (horizon, else t_max) must be positive")
+        raise ConfigRangeError(f"run end {end} must be positive")
     st = np.asarray(sample_times, dtype=float)
     if not (np.all(st >= 0) and np.all(np.diff(st) > 0)):
         raise ConfigRangeError("sample_times must be >= 0 and strictly increasing")
@@ -223,7 +223,7 @@ class LiveSet:
     nonnegative integer.
     """
 
-    def __init__(self, n_paths: int, horizon, t_max: float, sample_times, scale: float = 1.0):
+    def __init__(self, n_paths: int, horizon, cap: float, sample_times, scale: float = 1.0):
         if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
             raise ConfigRangeError(f"n_paths = {n_paths!r} must be an integer")
         if n_paths < 0:
@@ -231,7 +231,7 @@ class LiveSet:
         self.ids = np.arange(n_paths)
         self.t = np.zeros(n_paths)
         self.cursor = np.zeros(n_paths, dtype=np.int64)
-        self.end = run_end(horizon, t_max) * scale
+        self.end = run_end(horizon, cap) * scale
         self.end_bound = np.nextafter(self.end, np.inf)
         self.grid = np.append(np.asarray(sample_times, dtype=float) * scale, np.inf)
 

@@ -30,8 +30,6 @@ from .chain import ChainSpec
 from .errors import BadInitialError, ConfigRangeError, NotLatticeError, OutputInvariantError
 from .rng import LiveSet, PathStreams, check_samples, check_window, derive_seed, run_end
 
-G_FAMILIES = ("default", "corrected")
-
 # Live width from which the cumulative rates are E - 1 in-place row adds
 # rather than one np.add.accumulate down the edges, which runs one short
 # inner loop per column; both give the same sums in the same order.  The
@@ -56,31 +54,28 @@ TABLE_BYTES = 1 << 26
 T_MAX = 1e3
 
 
-def _g_table(chain: ChainSpec, b: float, family: str, correction: float, n_max: int):
-    """Departure rates g_j(n) for all sites j and occupancies 0..n_max,
-    validated >= 0 and with a finite largest total rate.
+def _g_table(chain: ChainSpec, b: float, correction: float, n_max: int):
+    """Departure rates g_j(n) = m_j (1 + b/n + c/n^2), c = ``correction``,
+    for all sites j and occupancies 0..n_max, validated >= 0 and with a
+    finite largest total rate.
 
-    The default family g_j(n) = m_j (1 + b/n) satisfies
-    n (g_j(n)/m_j - 1) = b exactly for every n >= 1, so the asymptotic
-    drift parameter is a finite-N identity.  The corrected family adds
-    a c/n^2 term to probe sensitivity to the tail condition only
-    fixing the limit.  g_j(0) = 0 always.
+    With c = 0, n (g_j(n)/m_j - 1) = b exactly for every n >= 1, so the
+    asymptotic drift parameter is a finite-N identity; c != 0 probes
+    sensitivity to the tail condition only fixing the limit.
+    g_j(0) = 0 always.
     """
     n = np.arange(n_max + 1)
     n1 = np.where(n > 0, n, 1)
-    extra = correction / n1**2 if family == "corrected" else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.where(n > 0, chain.m[:, None] * (1.0 + b / n1 + extra), 0.0)
+        table = np.where(n > 0, chain.m[:, None] * (1.0 + b / n1 + correction / n1**2), 0.0)
         # No configuration's total rate sum_j g_j(eta_j) lambda_j exceeds
         # this; an inf total would make every wait 0, and a run never end.
         top = float((table.max(axis=1) * chain.holding).sum())
     if not np.all(table >= 0):
-        raise ConfigRangeError(
-            f"jump-rate family {family!r} with b={b} produces negative or NaN rates"
-        )
+        raise ConfigRangeError(f"jump rates with b={b}, c={correction} are negative or NaN")
     if not math.isfinite(top):
         raise ConfigRangeError(
-            f"jump-rate family {family!r} with b={b} gives total rates that overflow a double"
+            f"jump rates with b={b}, c={correction} give total rates that overflow a double"
         )
     return table
 
@@ -99,7 +94,6 @@ class ZrpConfig:
     n_particles: int
     b: float
     seed: int
-    g_family: str = "default"
     g_correction: float = 0.0
     sample_times: tuple[float, ...] = ()
     horizon: float | None = None
@@ -121,14 +115,6 @@ class ZrpConfig:
             raise ConfigRangeError("condensation threshold delta must be in (0, 1)")
         times = check_window(self.horizon, T_MAX, self.sample_times)
         object.__setattr__(self, "sample_times", times)
-        if self.g_family not in G_FAMILIES:
-            raise ConfigRangeError(f"unknown g family {self.g_family!r}")
-        if self.b <= 1.0:
-            warnings.warn(
-                "b <= 1: no absorption in the scaling limit; "
-                "tightness still holds, proceed at your own risk",
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -183,7 +169,7 @@ def zrp_generator_apply(config: ZrpConfig, h, x: np.ndarray):
     pts = eta / n
     src, dst = np.nonzero(chain.rates)
     r_edge = chain.rates[src, dst]
-    table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
+    table = _g_table(chain, config.b, config.g_correction, n)
     g = table.T[eta, np.arange(chain.size)]  # (D, L), D distinct points
     h0 = h(pts)
     shifts = np.zeros((len(src), chain.size))
@@ -216,6 +202,12 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     Paths are exact realizations; identical (config, eta0, path index)
     always reproduce the same trajectory.
     """
+    if config.b <= 1.0:
+        warnings.warn(
+            "b <= 1: no absorption in the scaling limit; "
+            "tightness still holds, proceed at your own risk",
+            stacklevel=2,
+        )
     chain = config.chain
     size = chain.size
     n = config.n_particles
@@ -223,7 +215,7 @@ def simulate_zrp_ensemble(config: ZrpConfig, eta0, n_paths: int) -> ZrpEnsemble:
     scale = float(n) * n  # micro time per macro unit
     live = LiveSet(n_paths, config.horizon, T_MAX, config.sample_times, scale)
 
-    table = _g_table(chain, config.b, config.g_family, config.g_correction, n)
+    table = _g_table(chain, config.b, config.g_correction, n)
     src, dst = np.nonzero(chain.rates)
     r_edge = chain.rates[src, dst]
     cond_level = (1.0 - config.delta) * n

@@ -263,8 +263,6 @@ def generator_taylor_residual(
     b: float,
     h: BumpFunction,
     n_list,
-    g_family: str = "default",
-    g_correction: float = 0.0,
 ) -> dict[int, float]:
     """Max Taylor residual of the particle generator against the limit.
 
@@ -278,9 +276,7 @@ def generator_taylor_residual(
     point is built.
     """
     configs = [
-        ZrpConfig(chain=chain, n_particles=n, b=b, seed=0,
-                  g_family=g_family, g_correction=g_correction)
-        for n in n_list
+        ZrpConfig(chain=chain, n_particles=n, b=b, seed=0) for n in n_list
     ]
     for config in configs:
         n = config.n_particles
@@ -304,7 +300,7 @@ def generator_taylor_residual(
             chain.rates[None, :, :]
             * (hdiag[:, None, :] - 2 * hess + hdiag[:, :, None])
         ).sum(axis=2)
-        table = _g_table(chain, b, g_family, g_correction, n)
+        table = _g_table(chain, b, 0.0, n)
         eta = np.rint(pts * n).astype(np.int64)
         g = table.T[eta, hd_idx]
         correction = 0.5 * ((g - chain.m) * delta).sum(axis=1)

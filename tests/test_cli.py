@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,15 @@ class TestZrpRun:
         assert main(["zrp-run", str(cfg)]) == 0
         assert (out / "zrp_condensation_N20.csv").read_bytes() == first
 
+    def test_correction_changes_the_run(self, tmp_path):
+        # g_correction alone sets c in g(n) = m (1 + b/n + c/n^2).
+        cfg, out = write_config(tmp_path, paths=25, n_list="20")
+        assert main(["zrp-run", str(cfg)]) == 0
+        plain = (out / "zrp_condensation_N20.csv").read_bytes()
+        cfg.write_text(cfg.read_text().replace("b: 1.5", "b: 1.5\n  g_correction: 0.7"))
+        assert main(["zrp-run", str(cfg)]) == 0
+        assert (out / "zrp_condensation_N20.csv").read_bytes() != plain
+
 
 class TestDiffRun:
     def test_vertex_start_single_absorption_row(self, tmp_path):
@@ -248,7 +258,7 @@ class TestVerify:
         # Values the engines reject are range errors too, and so are
         # list entries that are not numbers of the right kind.
         base = write_config(tmp_path, paths=5)[0].read_text()
-        corrected = "b: 1.5\n  g_family: corrected\n  g_correction: "
+        corrected = "b: 1.5\n  g_correction: "
         exp = "delta: 0.05\n  "
         cases = {
             "nan-dt": ("diff-run", base + "diffusion:\n  dt_base: .nan\n"),
@@ -324,13 +334,29 @@ class TestVerify:
             )),
             # PyYAML keeps the last of two equal keys; the first is not dropped silently.
             "repeated-key": ("model", parse, base + "model:\n  b: 2.0\n"),
+            # One N run twice would write the same files twice.
+            "repeated-N": ("model.N", parse + ("zrp-run", "compare"), base.replace(
+                "N: [20]", "N: [20, 20]"
+            )),
+            # Removed keys: g_correction alone sets c, and horizon the
+            # diffusion's end.
+            "g-family": ("model.g_family: unknown key", parse, base.replace(
+                "b: 1.5", "b: 1.5\n  g_family: corrected"
+            )),
+            "diffusion-t-max": ("diffusion.t_max: unknown key", parse,
+                                base + "diffusion:\n  t_max: 50.0\n"),
         }
         capsys.readouterr()
         for name, (key, subs, doc) in typed.items():
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(doc)
             for sub in subs:
-                assert main([sub, str(cfg)]) == 2, (name, sub)
+                # A config error comes before any run, and so before the
+                # engines' warning for b <= 1.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", UserWarning)
+                    assert main([sub, str(cfg)]) == 2, (name, sub)
+                assert not [w for w in caught if issubclass(w.category, UserWarning)], (name, sub)
                 assert f"config error: {key}" in capsys.readouterr().err, (name, sub)
 
     def test_vertex_start_only_for_diff_run(self, tmp_path, capsys, monkeypatch):

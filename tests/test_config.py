@@ -118,7 +118,6 @@ class TestParse:
             ("diffusion.dt_base", "diffusion:\n  dt_base: null\n"),
             ("output.directory", "output:\n  directory: 5\n"),
             ("model.allow_small_b", "model:\n  allow_small_b: \"no\"\n"),
-            ("model.g_family", "model:\n  g_family: 1\n"),
             ("model.N", "model:\n  N: 100\n"),
             ("model.N[0]", "model:\n  N: [true]\n"),
             ("chain.rates[0]", "chain:\n  rates: [1.0, 0.0]\n"),
@@ -174,10 +173,9 @@ class TestRoundTrip:
         cfg = RunConfig(
             chain=ChainBlock(rates=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
                              m=[2.0, 2.0, 2.0]),
-            model=ModelBlock(b=2.0, g_family="corrected", g_correction=0.5, N=[10, 20],
-                             allow_small_b=True),
+            model=ModelBlock(b=2.0, g_correction=0.5, N=[10, 20], allow_small_b=True),
             diffusion=DiffusionBlock(dt_base=2e-3, eps_abs=2e-4, noise_scale=0.5,
-                                     dt_rule="quadratic", horizon=1.5, t_max=50.0),
+                                     dt_rule="quadratic", horizon=1.5),
             experiment=ExperimentBlock(seed=7, paths=10, sample_times=[0.0, 0.5], delta=0.1,
                                        q=2.5, p=1.5, eps=0.2, grid=20, subset=[1, 2],
                                        x0=[0.5, 0.25, 0.25], eta0=[4, 3, 3], horizon=0.75),

@@ -15,6 +15,7 @@ from condensim.chain import (
     validate_chain,
 )
 from condensim.diffusion import (
+    T_MAX,
     DiffusionConfig,
     FaceTable,
     _check_outputs,
@@ -372,8 +373,9 @@ class TestSimulate:
     def test_small_b_requires_override(self):
         with pytest.raises(ConfigRangeError):
             DiffusionConfig(chain=k3(), b=0.8, seed=1)
-        with pytest.warns(UserWarning):
-            DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.1)
+        config = DiffusionConfig(chain=k3(), b=0.8, seed=1, allow_small_b=True, horizon=0.01)
+        with pytest.warns(UserWarning, match="b <= 1"):
+            simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 1)
 
     def test_threshold_must_leave_a_coordinate(self):
         # With eps_abs * L >= 1 one step can put every coordinate under
@@ -594,7 +596,7 @@ def test_sample_at_a_step_time_is_that_steps_state(two_site):
 
 
 @pytest.mark.parametrize("case", ["horizon", "t-max", "rounded-gap"])
-def test_no_record_past_the_end(case):
+def test_no_record_past_the_end(case, monkeypatch):
     # The last step is cut to end on the run's end: no condensation
     # time, absorption or trap lies past it, and the clock never passes
     # it, so a sample one ulp past the end stays empty.
@@ -603,8 +605,9 @@ def test_no_record_past_the_end(case):
     if case == "horizon":
         end = params["horizon"] = 0.05
     elif case == "t-max":
-        # Run to the trap: most paths are still on a face at t_max.
-        end = params["t_max"] = 0.05
+        # Run to the trap: most paths are still on a face at T_MAX.
+        end = 0.05
+        monkeypatch.setattr("condensim.diffusion.T_MAX", end)
     else:
         # A drift-only path from a symmetric start is glued to the middle
         # of an edge at t1, where the drift vanishes and dt_base = 1 cuts
@@ -647,7 +650,7 @@ def test_sample_grid_changes_nothing_but_the_samples(seed, size, to_horizon):
         seed=seed, dt_base=4e-3, cond_delta=float(rng.uniform(0.05, 0.5)),
         horizon=float(rng.uniform(0.005, 0.05)) if to_horizon else None,
     )
-    end = params["horizon"] or DiffusionConfig(**params).t_max
+    end = params["horizon"] or T_MAX
     grid = np.unique(rng.uniform(0.0, 2 * (params["horizon"] or 1.0), 8))
     if not to_horizon:
         grid = np.append(grid, 2 * end)
@@ -775,10 +778,11 @@ def _corrupt_sample_short(ens):
 @pytest.mark.parametrize("corrupt", [
     _corrupt_trapped_time, _corrupt_untrapped_time, _corrupt_sample_hole, _corrupt_sample_short,
 ])
-def test_output_checks_reject_corrupted_ensembles(corrupt):
-    # On K3 with t_max = 0.2, 15 of 20 paths are trapped, and every
-    # path samples the 21 grid times up to 0.2.
-    config = DiffusionConfig(chain=k3(), b=1.5, seed=3, t_max=0.2,
+def test_output_checks_reject_corrupted_ensembles(corrupt, monkeypatch):
+    # On K3 with the cap T_MAX at 0.2, 15 of 20 paths are trapped, and
+    # every path samples the 21 grid times up to 0.2.
+    monkeypatch.setattr("condensim.diffusion.T_MAX", 0.2)
+    config = DiffusionConfig(chain=k3(), b=1.5, seed=3,
                              sample_times=tuple(np.linspace(0.0, 0.3, 31)))
     ens = simulate_diffusion_ensemble(config, np.full(3, 1 / 3), 20)
     assert 0 < np.count_nonzero(ens.trapped_vertex >= 0) < 20

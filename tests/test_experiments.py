@@ -282,7 +282,7 @@ class TestPsi4:
 
     def test_exponent_chain_enforced(self):
         with pytest.raises(BadExponentsError):
-            superharmonic_sign_check(k3(), (0, 1), b=3.0, p=1.5, eps=0.3)
+            superharmonic_sign_check(k3(), (0, 1), b=3.0, p=1.5, eps=0.3, resolution=50)
 
     def test_empty_region(self):
         with pytest.raises(EmptyRegionError):
@@ -478,8 +478,8 @@ def _generator_cases():
         chain=k3(), n_particles=100, b=1.5, seed=11, sample_times=grid, horizon=0.15,
     ), [34, 33, 33], 200
     yield "asym3-corrected", ZrpConfig(
-        chain=asym3(), n_particles=60, b=1.8, seed=12, g_family="corrected",
-        g_correction=0.7, sample_times=grid, horizon=0.15,
+        chain=asym3(), n_particles=60, b=1.8, seed=12, g_correction=0.7,
+        sample_times=grid, horizon=0.15,
     ), [20, 25, 15], 150
 
 

@@ -18,7 +18,6 @@ from condensim.errors import (
 from condensim.rng import derive_seed, path_generator
 from condensim.zrp import (
     FINISH_EDGES,
-    G_FAMILIES,
     TABLE_BYTES,
     ZrpConfig,
     _check_outputs,
@@ -39,27 +38,27 @@ class TestJumpRate:
     """Entries g_j(n) of the departure-rate table, row j, column n."""
 
     def test_default_family_value(self, two_site):
-        g = _g_table(two_site, 1.5, "default", 0.0, 2)[0, 2]
+        g = _g_table(two_site, 1.5, 0.0, 2)[0, 2]
         assert g == pytest.approx(0.875, abs=1e-15)
 
     def test_empty_site_never_jumps(self, two_site):
-        for family in G_FAMILIES:
-            assert np.all(_g_table(two_site, 1.5, family, 1.0, 3)[:, 0] == 0.0)
+        for correction in (0.0, 1.0):
+            assert np.all(_g_table(two_site, 1.5, correction, 3)[:, 0] == 0.0)
 
     def test_tail_approaches_measure(self, two_site):
         n = np.array([1, 10, 1000, 10**6])
-        g = _g_table(two_site, 2.0, "default", 0.0, 10**6)[1, n]
+        g = _g_table(two_site, 2.0, 0.0, 10**6)[1, n]
         m1 = two_site.m[1]
         assert np.all(np.abs(g - m1) <= m1 * 2.0 / n + 1e-15)
 
     def test_finite_n_identity(self, two_site):
-        # n (g(n)/m - 1) = b exactly for the default family.
+        # n (g(n)/m - 1) = b exactly without the c/n^2 correction.
         n = np.arange(1, 50)
-        g = _g_table(two_site, 1.7, "default", 0.0, 49)[0, n]
+        g = _g_table(two_site, 1.7, 0.0, 49)[0, n]
         np.testing.assert_allclose(n * (g / two_site.m[0] - 1.0), 1.7, atol=1e-12)
 
     def test_corrected_family(self, two_site):
-        g = _g_table(two_site, 1.5, "corrected", 1.0, 2)[0, 2]
+        g = _g_table(two_site, 1.5, 1.0, 2)[0, 2]
         assert g == pytest.approx(0.5 * (1 + 0.75 + 0.25), abs=1e-15)
 
 
@@ -243,7 +242,7 @@ class TestSimulate:
             chain=chain, n_particles=1, b=1.5, seed=11, horizon=1.0, sample_times=times
         )
         ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths=50_000)
-        lam = _g_table(chain, 1.5, "default", 0.0, 1)[0, 1]
+        lam = _g_table(chain, 1.5, 0.0, 1)[0, 1]
         assert lam == pytest.approx(5 / 6)
         p = 1 / 3 + 2 / 3 * np.exp(-3 * lam * np.array(times))
         at_start = (ens.samples[:, :, 0] == 1.0).mean(axis=0)
@@ -259,25 +258,20 @@ class TestSimulate:
         assert abs(freq - 0.5) <= 3 * se
 
     def test_small_b_warns(self, two_site):
+        config = ZrpConfig(chain=two_site, n_particles=10, b=0.5, seed=0, horizon=0.01)
         with pytest.warns(UserWarning, match="b <= 1"):
-            ZrpConfig(chain=two_site, n_particles=10, b=0.5, seed=0)
+            simulate_zrp_ensemble(config, [5, 5], 1)
 
 
 def test_non_finite_horizons_rejected(two_site):
     # A NaN horizon never retires a path: t >= NaN is always false.
-    def diffusion(**kw):
-        return DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw)
-
     for make in (
         lambda **kw: ZrpConfig(chain=two_site, n_particles=10, b=1.5, seed=0, **kw),
-        diffusion,
+        lambda **kw: DiffusionConfig(chain=two_site, b=1.5, seed=0, **kw),
     ):
         for bad in ({"horizon": np.nan}, {"horizon": np.inf}):
             with pytest.raises(ConfigRangeError):
                 make(**bad)
-    # The diffusion's cap on a run to the trap is a parameter too.
-    with pytest.raises(ConfigRangeError):
-        diffusion(t_max=np.nan)
 
 
 def test_negative_sample_times_rejected(two_site):
@@ -301,7 +295,7 @@ def test_sample_at_a_jump_time_shows_the_jump():
     # the wait -log1p(-u) over their total.
     eta0 = np.array([11, 11, 10])
     chain = k3()
-    g = _g_table(chain, 1.5, "default", 0.0, 32)
+    g = _g_table(chain, 1.5, 0.0, 32)
     total = 0.0
     for j, k in zip(*np.nonzero(chain.rates)):
         total += g[j, eta0[j]] * chain.rates[j, k]
@@ -354,8 +348,8 @@ def _pinned_cases():
     grid = tuple(np.linspace(0.0, 0.05, 11))
     yield "k3-condense", ZrpConfig(chain=k3(), n_particles=200, b=1.5, seed=3), [67, 67, 66], 300
     yield "asym3-corrected", ZrpConfig(
-        chain=asym3(), n_particles=60, b=1.8, seed=4, g_family="corrected",
-        g_correction=0.7, sample_times=grid, horizon=0.05,
+        chain=asym3(), n_particles=60, b=1.8, seed=4, g_correction=0.7,
+        sample_times=grid, horizon=0.05,
     ), [20, 25, 15], 200
     yield "ring8-horizon", ZrpConfig(
         chain=ring(8), n_particles=40, b=1.5, seed=5,
@@ -411,16 +405,16 @@ def test_engine_outputs_pinned():
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(2, 6),
     n=st.integers(1, 40),
-    family=st.sampled_from(G_FAMILIES),
+    corrected=st.booleans(),
     n_paths=st.integers(2, 6),
 )
-def test_horizon_runs_are_consistent(seed, size, n, family, n_paths):
+def test_horizon_runs_are_consistent(seed, size, n, corrected, n_paths):
     rng = np.random.default_rng(seed)
     chain = random_irreducible_chain(rng, size)
     horizon = float(rng.uniform(0.005, 0.05))
     config = ZrpConfig(
         chain=chain, n_particles=n, b=float(rng.uniform(1.1, 3.0)), seed=seed,
-        g_family=family, g_correction=float(rng.uniform(0.0, 2.0)),
+        g_correction=float(rng.uniform(0.0, 2.0)) if corrected else 0.0,
         sample_times=tuple(np.unique(rng.uniform(0.0, horizon, 5))), horizon=horizon,
         delta=float(rng.uniform(0.05, 0.5)),
     )
@@ -473,14 +467,13 @@ def test_a_stopped_path_is_sampled_at_its_record():
 def test_frozen_configuration_never_jumps(n_paths):
     # With b = -1, g(1) = 0: one particle never leaves, every rate is
     # zero and no event ever comes.  3 paths run only in the
-    # plain-Python finisher, 40 start in the lockstep; neither warns.
+    # plain-Python finisher, 40 start in the lockstep; neither raises a RuntimeWarning.
     assert 3 * 6 <= FINISH_EDGES < 40 * 6
-    with pytest.warns(UserWarning, match="b <= 1"):
-        config = ZrpConfig(
-            chain=k3(), n_particles=1, b=-1.0, seed=2, horizon=5.0,
-            sample_times=tuple(np.linspace(0.0, 1.0, 6)),
-        )
-    with warnings.catch_warnings():
+    config = ZrpConfig(
+        chain=k3(), n_particles=1, b=-1.0, seed=2, horizon=5.0,
+        sample_times=tuple(np.linspace(0.0, 1.0, 6)),
+    )
+    with warnings.catch_warnings(), pytest.warns(UserWarning, match="b <= 1"):
         warnings.simplefilter("error", RuntimeWarning)
         ens = simulate_zrp_ensemble(config, [1, 0, 0], n_paths)
     # The start is condensed; the path holds it to the horizon.
@@ -523,11 +516,11 @@ def test_generator_rejects_overflowing_total_rate():
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(2, 5),
     n=st.integers(1, 20),
-    family=st.sampled_from(G_FAMILIES),
+    corrected=st.booleans(),
     to_horizon=st.booleans(),
     small=st.integers(1, FINISH_EDGES),
 )
-def test_finisher_matches_the_lockstep(seed, size, n, family, to_horizon, small):
+def test_finisher_matches_the_lockstep(seed, size, n, corrected, to_horizon, small):
     # Path i of an ensemble narrow enough to run only in the plain-Python
     # finisher equals path i of one at least 4x as wide as the crossover,
     # which starts in the lockstep.
@@ -539,7 +532,7 @@ def test_finisher_matches_the_lockstep(seed, size, n, family, to_horizon, small)
     span = horizon or 0.2
     config = ZrpConfig(
         chain=chain, n_particles=n, b=float(rng.uniform(1.5, 3.0)), seed=seed,
-        g_family=family, g_correction=float(rng.uniform(0.0, 2.0)),
+        g_correction=float(rng.uniform(0.0, 2.0)) if corrected else 0.0,
         delta=float(rng.uniform(0.1, 0.5)), horizon=horizon,
         sample_times=tuple(np.unique(np.append(0.0, rng.uniform(0.0, 2 * span, 8)))),
     )
